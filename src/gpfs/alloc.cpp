@@ -2,28 +2,28 @@
 
 namespace mgfs::gpfs {
 
+AllocationMap::PerNsd::PerNsd(std::uint64_t cap)
+    : bitmap((cap + 63) / 64), capacity(cap) {
+  const std::uint64_t words = bitmap.words();
+  // Bits of the final word past capacity can never be allocated: mark
+  // them used up front so every clear bit in the map is a real block
+  // and the scan never has to special-case the tail. Only the last
+  // chunk is materialised by this.
+  if (cap % 64 != 0) {
+    bitmap.word_ref(words - 1) = ~0ULL << (cap % 64);
+  }
+  // Every word starts with at least one free bit (words only exist to
+  // cover capacity), so all summary bits covering real words are set.
+  summary.assign((words + 63) / 64, ~0ULL);
+  if (!summary.empty() && words % 64 != 0) {
+    summary.back() = (1ULL << (words % 64)) - 1;
+  }
+}
+
 AllocationMap::AllocationMap(std::vector<std::uint64_t> blocks_per_nsd) {
   MGFS_ASSERT(!blocks_per_nsd.empty(), "allocation map with no NSDs");
   nsds_.reserve(blocks_per_nsd.size());
-  for (std::uint64_t cap : blocks_per_nsd) {
-    PerNsd p;
-    p.capacity = cap;
-    const std::uint64_t words = (cap + 63) / 64;
-    p.bitmap.assign(words, 0);
-    // Bits of the final word past capacity can never be allocated: mark
-    // them used up front so every clear bit in the map is a real block
-    // and the scan never has to special-case the tail.
-    if (cap % 64 != 0) {
-      p.bitmap[words - 1] = ~0ULL << (cap % 64);
-    }
-    // Every word starts with at least one free bit (words only exist to
-    // cover capacity), so all summary bits covering real words are set.
-    p.summary.assign((words + 63) / 64, ~0ULL);
-    if (!p.summary.empty() && words % 64 != 0) {
-      p.summary.back() = (1ULL << (words % 64)) - 1;
-    }
-    nsds_.push_back(std::move(p));
-  }
+  for (std::uint64_t cap : blocks_per_nsd) nsds_.emplace_back(cap);
 }
 
 std::uint64_t AllocationMap::capacity_blocks(std::uint32_t nsd) const {
@@ -56,7 +56,7 @@ Result<std::uint64_t> AllocationMap::take_free_bit(PerNsd& p) {
   // sequence is exactly what the old per-word next-fit scan produced —
   // same word granularity, same lowest-bit-first order — so seeded
   // runs allocate identically.
-  const std::uint64_t words = p.bitmap.size();
+  const std::uint64_t words = p.bitmap.words();
   const std::uint64_t groups = p.summary.size();
   const std::uint64_t start_word = p.rotor / 64;
   const std::uint64_t start_group = start_word / 64;
@@ -71,13 +71,14 @@ Result<std::uint64_t> AllocationMap::take_free_bit(PerNsd& p) {
     }
   }
   MGFS_ASSERT(word < words, "summary lost a free word");
-  const std::uint64_t free_mask = ~p.bitmap[word];
+  std::uint64_t& bits = p.bitmap.word_ref(word);
+  const std::uint64_t free_mask = ~bits;
   MGFS_ASSERT(free_mask != 0, "summary bit set on a full word");
   const int bit = __builtin_ctzll(free_mask);
   const std::uint64_t block = word * 64 + static_cast<std::uint64_t>(bit);
   MGFS_ASSERT(block < p.capacity, "tail bit escaped pre-marking");
-  p.bitmap[word] |= (1ULL << bit);
-  if (p.bitmap[word] == ~0ULL) {
+  bits |= (1ULL << bit);
+  if (bits == ~0ULL) {
     p.summary[word / 64] &= ~(1ULL << (word % 64));
   }
   ++p.used;
@@ -133,10 +134,10 @@ Status AllocationMap::free_block(BlockAddr addr) {
   }
   const std::uint64_t word = addr.block / 64;
   const std::uint64_t mask = 1ULL << (addr.block % 64);
-  if (!(p.bitmap[word] & mask)) {
+  if (!(p.bitmap.word(word) & mask)) {
     return Status(Errc::invalid_argument, "double free");
   }
-  p.bitmap[word] &= ~mask;
+  p.bitmap.word_ref(word) &= ~mask;
   p.summary[word / 64] |= 1ULL << (word % 64);
   --p.used;
   return Status{};
@@ -146,7 +147,7 @@ bool AllocationMap::is_allocated(BlockAddr addr) const {
   if (addr.nsd >= nsds_.size()) return false;
   const PerNsd& p = nsds_[addr.nsd];
   if (addr.block >= p.capacity) return false;
-  return (p.bitmap[addr.block / 64] >> (addr.block % 64)) & 1;
+  return (p.bitmap.word(addr.block / 64) >> (addr.block % 64)) & 1;
 }
 
 }  // namespace mgfs::gpfs

@@ -899,23 +899,28 @@ void FileSystem::undo_replica(const JournalRecord& r) {
 
 FsckReport FileSystem::fsck() const {
   FsckReport rep;
-  // Reference counts per (nsd, block) from the inode block maps.
-  std::vector<std::vector<std::uint8_t>> refs(alloc_.nsd_count());
-  for (std::size_t d = 0; d < refs.size(); ++d) {
-    refs[d].assign(alloc_.capacity_blocks(static_cast<std::uint32_t>(d)), 0);
+  // One reference bit per (nsd, block), in chunked bitmaps: memory grows
+  // with the blocks referenced (at most capacity/8 bytes), and a bit
+  // already set marks an exact duplicate however often an address recurs.
+  std::vector<ChunkedBitmap> refs;
+  refs.reserve(alloc_.nsd_count());
+  for (std::uint32_t d = 0; d < alloc_.nsd_count(); ++d) {
+    refs.emplace_back((alloc_.capacity_blocks(d) + 63) / 64);
   }
+  auto reference = [&](const BlockAddr& a) {
+    if (a.nsd >= refs.size() || a.block >= alloc_.capacity_blocks(a.nsd)) {
+      ++rep.dangling_refs;
+      return;
+    }
+    if (refs[a.nsd].test_and_set(a.block)) ++rep.duplicate_refs;
+    if (!alloc_.is_allocated(a)) ++rep.dangling_refs;
+  };
   for (InodeNum ino : ns_.inode_list()) {
     const Inode* n = ns_.inode(ino);
     for (const auto& slot : n->blocks) {
       if (!slot.has_value()) continue;
       ++rep.referenced_blocks;
-      const BlockAddr& a = *slot;
-      if (a.nsd >= refs.size() || a.block >= refs[a.nsd].size()) {
-        ++rep.dangling_refs;
-        continue;
-      }
-      if (refs[a.nsd][a.block]++) ++rep.duplicate_refs;
-      if (!alloc_.is_allocated(a)) ++rep.dangling_refs;
+      reference(*slot);
     }
   }
   // Replica table: copy 0 must mirror the inode block map; copies 1..
@@ -930,25 +935,23 @@ FsckReport FileSystem::fsck() const {
       }
       for (std::uint8_t c = 1; c < p.copies; ++c) {
         ++rep.replica_refs;
-        const BlockAddr& a = p.addr[c];
-        if (a.nsd >= refs.size() || a.block >= refs[a.nsd].size()) {
-          ++rep.dangling_refs;
-          continue;
-        }
-        if (refs[a.nsd][a.block]++) ++rep.duplicate_refs;
-        if (!alloc_.is_allocated(a)) ++rep.dangling_refs;
+        reference(p.addr[c]);
       }
       for (std::uint8_t c = 0; c < p.copies; ++c) {
         if (p.is_divergent(c)) ++rep.divergent_replicas;
       }
     }
   }
+  // Orphans: allocated and unreferenced, counted a word at a time over
+  // the allocation words that exist (absent words hold no allocation).
   for (std::uint32_t d = 0; d < refs.size(); ++d) {
-    for (std::uint64_t b = 0; b < refs[d].size(); ++b) {
-      if (!alloc_.is_allocated(BlockAddr{d, b})) continue;
-      ++rep.allocated_blocks;
-      if (!refs[d][b]) ++rep.orphaned_blocks;
-    }
+    alloc_.for_each_allocated_word(
+        d, [&](std::uint64_t w, std::uint64_t bits) {
+          rep.allocated_blocks +=
+              static_cast<std::uint64_t>(__builtin_popcountll(bits));
+          rep.orphaned_blocks += static_cast<std::uint64_t>(
+              __builtin_popcountll(bits & ~refs[d].word(w)));
+        });
   }
   for (ClientId c : lease_.expelled_clients()) {
     // Aggregate across journal slices: an expelled client's tail may be

@@ -229,9 +229,12 @@ void GridFtpClient::run_transfer(Plan plan, bool upload,
             dst_dev = &sink_store->device();
           }
 
-          // Double-buffered pump: disk read -> tcp -> disk write.
+          // Double-buffered pump: disk read -> tcp -> disk write. The
+          // pump holds itself only weakly; each chunk in flight owns it,
+          // so it is freed once the stream ends or is abandoned.
           auto pump = std::make_shared<std::function<void()>>();
-          auto chunk_done = [sh, st, pump](Bytes n) {
+          // Returns whether the stream should keep pumping.
+          auto chunk_done = [sh, st](Bytes n) {
             --st->inflight;
             sh->completed += n;
             if (!sh->failed && sh->completed == sh->total) {
@@ -240,12 +243,13 @@ void GridFtpClient::run_transfer(Plan plan, bool upload,
               stats.seconds = sh->sim->now() - sh->start;
               stats.streams = sh->streams;
               sh->done(stats);
-              return;
+              return false;
             }
-            (*pump)();
+            return true;
           };
           *pump = [this, st, sh, conn, src_dev, dst_dev, chunk_done,
-                   fail_once, pump] {
+                   fail_once, weak = std::weak_ptr(pump)] {
+            const auto self = weak.lock();  // held by whoever runs us
             while (st->inflight < 2 && st->remaining > 0 && !sh->failed) {
               const Bytes c = std::min(cfg_.chunk, st->remaining);
               st->remaining -= c;
@@ -254,8 +258,10 @@ void GridFtpClient::run_transfer(Plan plan, bool upload,
               st->src_pos += c;
               st->dst_pos += c;
               ++st->inflight;
-              src_dev->io(rpos, c, false, [conn, c, wpos, dst_dev,
-                                           chunk_done,
+              auto landed = [chunk_done, self, c] {
+                if (chunk_done(c)) (*self)();
+              };
+              src_dev->io(rpos, c, false, [conn, c, wpos, dst_dev, landed,
                                            fail_once](const Status& s) {
                 if (!s.ok()) {
                   fail_once(Errc::io_error, "source disk: " + s.to_string());
@@ -263,21 +269,20 @@ void GridFtpClient::run_transfer(Plan plan, bool upload,
                 }
                 conn->send(
                     c,
-                    [c, wpos, dst_dev, chunk_done, fail_once] {
+                    [c, wpos, dst_dev, landed, fail_once] {
                       if (dst_dev == nullptr) {
-                        chunk_done(c);
+                        landed();
                         return;
                       }
                       dst_dev->io(wpos, c, true,
-                                  [c, chunk_done,
-                                   fail_once](const Status& s2) {
+                                  [landed, fail_once](const Status& s2) {
                                     if (!s2.ok()) {
                                       fail_once(Errc::io_error,
                                                 "sink disk: " +
                                                     s2.to_string());
                                       return;
                                     }
-                                    chunk_done(c);
+                                    landed();
                                   });
                     },
                     [fail_once] {

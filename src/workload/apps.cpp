@@ -230,15 +230,17 @@ void NvoQueryStream::issue(Bytes offset, Bytes remaining,
   st->end = offset + remaining;
   auto shared_done =
       std::make_shared<std::function<void(const Status&)>>(std::move(done));
+  // The pump holds itself only weakly; each read in flight owns it.
   auto pump = std::make_shared<std::function<void()>>();
-  *pump = [this, st, shared_done, pump] {
+  *pump = [this, st, shared_done, weak = std::weak_ptr(pump)] {
     if (st->failed) return;
+    const auto self = weak.lock();  // held by whoever runs us
     while (st->inflight < cfg_.queue_depth && st->next < st->end) {
       const Bytes n = std::min(cfg_.request, st->end - st->next);
       const Bytes off = st->next;
       st->next += n;
       ++st->inflight;
-      client_->read(fh_, off, n, [this, st, shared_done, pump,
+      client_->read(fh_, off, n, [this, st, shared_done, self,
                                   n](Result<Bytes> r) {
         --st->inflight;
         if (!r.ok()) {
@@ -252,7 +254,7 @@ void NvoQueryStream::issue(Bytes offset, Bytes remaining,
         if (st->next >= st->end && st->inflight == 0) {
           (*shared_done)(Status{});
         } else {
-          (*pump)();
+          (*self)();
         }
       });
     }

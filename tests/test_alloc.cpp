@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/rng.hpp"
@@ -188,6 +189,100 @@ TEST(AllocationMap, SummaryReopensFreedWordAtRotor) {
   }
   EXPECT_EQ(got, std::set<std::uint64_t>(std::begin(freed), std::end(freed)));
   EXPECT_EQ(m.allocate_on(0).code(), Errc::no_space);
+}
+
+// --- lazily materialised bitmap chunks --------------------------------
+
+/// Reference allocator: a plain bit vector scanned word by word from the
+/// rotor, taking the lowest free bit of the first word with one — the
+/// next-fit order AllocationMap promises.
+struct NextFitOracle {
+  explicit NextFitOracle(std::uint64_t cap) : used(cap, false) {}
+
+  std::uint64_t take() {
+    const std::uint64_t cap = used.size();
+    const std::uint64_t words = (cap + 63) / 64;
+    for (std::uint64_t k = 0; k <= words; ++k) {
+      const std::uint64_t w = (rotor / 64 + k) % words;
+      for (std::uint64_t b = w * 64; b < std::min(cap, w * 64 + 64); ++b) {
+        if (used[b]) continue;
+        used[b] = true;
+        rotor = b + 1 < cap ? b + 1 : 0;
+        return b;
+      }
+    }
+    return cap;  // full
+  }
+
+  std::uint64_t in_use() const {
+    return static_cast<std::uint64_t>(
+        std::count(used.begin(), used.end(), true));
+  }
+
+  std::vector<bool> used;
+  std::uint64_t rotor = 0;
+};
+
+TEST(AllocationMap, ChunkBoundariesMatchNextFitOracle) {
+  // Four 4 KiB chunks (512 words each): the last holds only the two
+  // final words, and the final word is partial.
+  constexpr std::uint64_t kChunkBits = 512 * 64;
+  constexpr std::uint64_t kCap = 3 * kChunkBits + 100;
+  static_assert(kCap % 64 != 0);
+  AllocationMap m(std::vector<std::uint64_t>{kCap});
+  NextFitOracle oracle(kCap);
+  auto allocate = [&](std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      auto a = m.allocate_on(0);
+      ASSERT_TRUE(a.ok()) << "allocation " << i;
+      ASSERT_EQ(a->block, oracle.take()) << "allocation " << i;
+    }
+  };
+  auto release = [&](std::uint64_t b) {
+    ASSERT_TRUE(m.free_block({0, b}).ok()) << "block " << b;
+    oracle.used[b] = false;
+  };
+
+  // Rotor into the middle of word 511, the last word of chunk 0.
+  allocate(511 * 64 + 32);
+  // Chunks 1 and 2 were never written: every block there reads free.
+  for (std::uint64_t b = kChunkBits; b < 3 * kChunkBits; b += 61) {
+    ASSERT_FALSE(m.is_allocated({0, b})) << "block " << b;
+  }
+  EXPECT_FALSE(m.is_allocated({0, kCap - 1}));
+  EXPECT_EQ(m.free_blocks(0), kCap - oracle.in_use());
+
+  // Holes behind the rotor, in word 0 and in word 511 itself: next-fit
+  // takes word 511's low holes first, then runs on into word 512.
+  release(10);
+  release(511 * 64 + 3);
+  release(511 * 64 + 31);
+  allocate(96);
+  EXPECT_TRUE(m.is_allocated({0, 512 * 64 + 60}));
+
+  // Run into the partial tail word (crossing chunk 2), open holes in it
+  // and behind the rotor, and drain the map: the sequence takes the
+  // tail word's hole below the rotor, wraps, and picks up the early
+  // holes in rotor order.
+  allocate(kCap - 20 - oracle.in_use());
+  release(kCap - 30);
+  release(1536 * 64 + 5);
+  release(512 * 64 + 7);
+  allocate(kCap - oracle.in_use());
+  EXPECT_EQ(m.free_blocks(0), 0u);
+  EXPECT_EQ(m.allocate_on(0).code(), Errc::no_space);
+
+  // Free one block in every chunk and reallocate them.
+  for (std::uint64_t b : {std::uint64_t{5}, kChunkBits + 5,
+                          2 * kChunkBits + 5, 3 * kChunkBits + 5}) {
+    release(b);
+  }
+  EXPECT_EQ(m.free_blocks(0), kCap - oracle.in_use());
+  allocate(4);
+  EXPECT_EQ(m.free_blocks(0), 0u);
+  for (std::uint64_t b = 0; b < kCap; ++b) {
+    ASSERT_TRUE(m.is_allocated({0, b})) << "block " << b;
+  }
 }
 
 }  // namespace
