@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace mgfs::gpfs {
 namespace {
 
@@ -150,6 +152,13 @@ struct ConflictCase {
   LockMode asked;
   bool conflict;
 };
+
+// Names each case by its modes. Without this, gtest prints the raw bytes of
+// the struct, padding included, so the test names change from build to build.
+void PrintTo(const ConflictCase& c, std::ostream* os) {
+  auto name = [](LockMode m) { return m == LockMode::ro ? "ro" : "rw"; };
+  *os << name(c.held) << "_then_" << name(c.asked);
+}
 
 class TokenConflictMatrix : public ::testing::TestWithParam<ConflictCase> {};
 
