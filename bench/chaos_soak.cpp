@@ -49,6 +49,49 @@ using namespace mgfs;
 
 namespace {
 
+/// Acceptance checklist: prints each check as PASS or FAIL; `ok` stays
+/// true while every check so far passed.
+struct Checks {
+  bool ok = true;
+  void operator()(bool cond, const char* what) {
+    std::printf("  [%s] %s\n", cond ? "PASS" : "FAIL", what);
+    ok = ok && cond;
+  }
+};
+
+/// A seeded fault injector watching the cluster, so a node it kills
+/// also loses its pooled connections and its clients' incarnations.
+fault::FaultInjector make_injector(net::Network& net, gpfs::Cluster& cluster,
+                                   std::uint64_t seed) {
+  fault::FaultInjector inject(net, Rng(seed));
+  inject.watch_pool(cluster.connection_pool());
+  inject.watch_cluster(cluster);
+  return inject;
+}
+
+/// Open `p` on `c` as bench::kUser and run the simulator until the open
+/// completes (it must succeed).
+gpfs::Fh sync_open(sim::Simulator& sim, gpfs::Client* c, const std::string& p,
+                   gpfs::OpenFlags f) {
+  std::optional<Result<gpfs::Fh>> out;
+  c->open(p, bench::kUser, f, [&](Result<gpfs::Fh> r) { out = r; });
+  sim.run();
+  MGFS_ASSERT(out.has_value() && out->ok(), "open failed");
+  return **out;
+}
+
+/// Writes the farm's NSD servers refused for a stale epoch.
+std::uint64_t nsd_fenced_writes(gpfs::Cluster& cluster,
+                                const bench::ServerFarm& farm) {
+  std::uint64_t n = 0;
+  for (net::NodeId node : farm.server_nodes) {
+    if (gpfs::NsdServer* srv = cluster.server_on(node)) {
+      n += srv->fenced_writes();
+    }
+  }
+  return n;
+}
+
 struct RunResult {
   double write_MBps = 0;
   double read_MBps = 0;
@@ -240,9 +283,7 @@ RunResult run_workload(bool inject_faults) {
     });
   });
 
-  fault::FaultInjector inject(net, Rng(1337));
-  inject.watch_pool(cluster.connection_pool());
-  inject.watch_cluster(cluster);
+  fault::FaultInjector inject = make_injector(net, cluster, 1337);
   if (inject_faults) {
     // Server 0: LAN link flaps between host and switch.
     inject.flap_link(farm.server_nodes[0], site.sw, /*mttf=*/1.5,
@@ -500,21 +541,13 @@ bool run_crash_dirty_writer() {
   gpfs::Client* victim = *vr;
   gpfs::Client* survivor = *sr;
 
-  fault::FaultInjector inject(net, Rng(7));
-  inject.watch_pool(cluster.connection_pool());
-  inject.watch_cluster(cluster);
+  fault::FaultInjector inject = make_injector(net, cluster, 7);
 
-  auto sync_open = [&](gpfs::Client* c, const std::string& p,
-                       gpfs::OpenFlags f) {
-    std::optional<Result<gpfs::Fh>> out;
-    c->open(p, bench::kUser, f, [&](Result<gpfs::Fh> r) { out = r; });
-    sim.run();
-    MGFS_ASSERT(out.has_value() && out->ok(), "open failed");
-    return **out;
-  };
-  gpfs::Fh vfh = sync_open(victim, "/shared", gpfs::OpenFlags::create_rw());
-  gpfs::Fh vpriv = sync_open(victim, "/private", gpfs::OpenFlags::create_rw());
-  gpfs::Fh sfh = sync_open(survivor, "/shared", gpfs::OpenFlags::rw());
+  gpfs::Fh vfh =
+      sync_open(sim, victim, "/shared", gpfs::OpenFlags::create_rw());
+  gpfs::Fh vpriv =
+      sync_open(sim, victim, "/private", gpfs::OpenFlags::create_rw());
+  gpfs::Fh sfh = sync_open(sim, survivor, "/shared", gpfs::OpenFlags::rw());
 
   // Victim stages dirty write-behind over the shared and a private
   // region, then goes mute before the flush drains or fsync commits.
@@ -554,12 +587,7 @@ bool run_crash_dirty_writer() {
   const gpfs::FsckReport fsck = farm.fs->fsck();
   const double recovery_s = survivor_done_at - crash_at;
   const double budget_s = 3.0 * (ccfg.lease_duration + ccfg.lease_recovery_wait);
-  std::uint64_t nsd_fenced = 0;
-  for (net::NodeId n : farm.server_nodes) {
-    if (gpfs::NsdServer* s = cluster.server_on(n)) {
-      nsd_fenced += s->fenced_writes();
-    }
-  }
+  const std::uint64_t nsd_fenced = nsd_fenced_writes(cluster, farm);
 
   std::printf("  survivor takeover:   %.2f s after crash (budget %.2f s)\n",
               recovery_s, budget_s);
@@ -575,11 +603,7 @@ bool run_crash_dirty_writer() {
               static_cast<unsigned long long>(fsck.dangling_refs),
               static_cast<unsigned long long>(fsck.uncommitted_records));
 
-  bool ok = true;
-  auto check = [&](bool cond, const char* what) {
-    std::printf("  [%s] %s\n", cond ? "PASS" : "FAIL", what);
-    ok = ok && cond;
-  };
+  Checks check;
   std::cout << "\nAcceptance:\n";
   check(sw.has_value() && sw->ok(), "survivor write completed");
   check(recovery_s <= budget_s,
@@ -593,7 +617,7 @@ bool run_crash_dirty_writer() {
             vsync.has_value() && vsync->ok(),
         "victim rejoined under a fresh epoch and finished");
   check(fsck.clean(), "fsck clean after replay");
-  return ok;
+  return check.ok;
 }
 
 /// Manager-takeover drill (DESIGN.md §6). The manager node crashes
@@ -636,21 +660,11 @@ bool run_manager_crash() {
   gpfs::Client* dead = *dr;
   gpfs::Client* mute = *mr;
 
-  fault::FaultInjector inject(net, Rng(7));
-  inject.watch_pool(cluster.connection_pool());
-  inject.watch_cluster(cluster);
+  fault::FaultInjector inject = make_injector(net, cluster, 7);
 
-  auto sync_open = [&](gpfs::Client* c, const std::string& p,
-                       gpfs::OpenFlags f) {
-    std::optional<Result<gpfs::Fh>> out;
-    c->open(p, bench::kUser, f, [&](Result<gpfs::Fh> r) { out = r; });
-    sim.run();
-    MGFS_ASSERT(out.has_value() && out->ok(), "open failed");
-    return **out;
-  };
-  gpfs::Fh wfh = sync_open(writer, "/job", gpfs::OpenFlags::create_rw());
-  gpfs::Fh dfh = sync_open(dead, "/dead", gpfs::OpenFlags::create_rw());
-  gpfs::Fh mfh = sync_open(mute, "/mute", gpfs::OpenFlags::create_rw());
+  gpfs::Fh wfh = sync_open(sim, writer, "/job", gpfs::OpenFlags::create_rw());
+  gpfs::Fh dfh = sync_open(sim, dead, "/dead", gpfs::OpenFlags::create_rw());
+  gpfs::Fh mfh = sync_open(sim, mute, "/mute", gpfs::OpenFlags::create_rw());
 
   // Committed baseline for the writer; dirty, never-fsynced data on
   // both casualties (uncommitted journal records, rw tokens).
@@ -727,12 +741,7 @@ bool run_manager_crash() {
   const double budget_s =
       3.0 * (ccfg.lease_duration + ccfg.lease_recovery_wait);
   const double takeover_s = farm.fs->last_takeover_at() - t0;
-  std::uint64_t nsd_fenced = 0;
-  for (net::NodeId n : farm.server_nodes) {
-    if (gpfs::NsdServer* s = cluster.server_on(n)) {
-      nsd_fenced += s->fenced_writes();
-    }
-  }
+  const std::uint64_t nsd_fenced = nsd_fenced_writes(cluster, farm);
 
   std::printf("  takeover: node %u -> node %u, epoch %llu, %.2f s after "
               "crash (budget %.2f s)\n",
@@ -748,11 +757,7 @@ bool run_manager_crash() {
   std::printf("  NSD fenced writes:   %llu\n",
               static_cast<unsigned long long>(nsd_fenced));
 
-  bool ok = true;
-  auto check = [&](bool cond, const char* what) {
-    std::printf("  [%s] %s\n", cond ? "PASS" : "FAIL", what);
-    ok = ok && cond;
-  };
+  Checks check;
   std::cout << "\nAcceptance:\n";
   check(farm.fs->manager_takeovers() == 1, "exactly one takeover");
   check(!(farm.fs->manager_node() == old_mgr), "successor elected");
@@ -779,7 +784,7 @@ bool run_manager_crash() {
             farm.fs->takeover_to_first_grant_s() <= 2.0 * ccfg.lease_duration,
         "first grant within 2 lease periods of takeover");
   check(fsck.clean(), "fsck clean after takeover");
-  return ok;
+  return check.ok;
 }
 
 /// Shard-crash drill (DESIGN.md §8): blast-radius containment of the
@@ -821,9 +826,7 @@ bool run_shard_crash() {
   }
   cluster.set_shard_managers(*farm.fs, seats);
 
-  fault::FaultInjector inject(net, Rng(7));
-  inject.watch_pool(cluster.connection_pool());
-  inject.watch_cluster(cluster);
+  fault::FaultInjector inject = make_injector(net, cluster, 7);
 
   struct Writer {
     gpfs::Client* c = nullptr;
@@ -842,14 +845,6 @@ bool run_shard_crash() {
     writers[k].shard = k % 4;
   }
 
-  auto sync_open = [&](gpfs::Client* c, const std::string& p) {
-    std::optional<Result<gpfs::Fh>> out;
-    c->open(p, bench::kUser, gpfs::OpenFlags::create_rw(),
-            [&](Result<gpfs::Fh> r) { out = r; });
-    sim.run();
-    MGFS_ASSERT(out.has_value() && out->ok(), "setup open failed");
-    return **out;
-  };
   auto sync_ino = [&](gpfs::Client* c, const std::string& p) {
     std::optional<Result<gpfs::StatInfo>> out;
     c->stat(p, [&](Result<gpfs::StatInfo> r) { out = r; });
@@ -865,7 +860,8 @@ bool run_shard_crash() {
       MGFS_ASSERT(j < 16, "no inode landed in shard");
       const std::string p =
           "/w" + std::to_string(k) + "_" + std::to_string(j);
-      gpfs::Fh fh = sync_open(writers[k].c, p);
+      gpfs::Fh fh =
+          sync_open(sim, writers[k].c, p, gpfs::OpenFlags::create_rw());
       if (farm.fs->shard_of(sync_ino(writers[k].c, p)) == writers[k].shard) {
         writers[k].fh = fh;
         break;
@@ -944,11 +940,7 @@ bool run_shard_crash() {
   }
   std::printf("  manager: %s\n", farm.fs->stats().c_str());
 
-  bool ok = true;
-  auto check = [&](bool cond, const char* what) {
-    std::printf("  [%s] %s\n", cond ? "PASS" : "FAIL", what);
-    ok = ok && cond;
-  };
+  Checks check;
   std::cout << "\nAcceptance:\n";
   check(farm.fs->manager_takeovers() == 1 &&
             farm.fs->shard_takeovers(victim) == 1,
@@ -969,7 +961,7 @@ bool run_shard_crash() {
   check(farm.fs->expels() == 0,
         "no expels: batched heartbeat to shard 0 kept every lease alive");
   check(fsck.clean(), "fsck clean across all journal slices");
-  return ok;
+  return check.ok;
 }
 
 /// Whole-site outage drill (ISSUE 9 tentpole). One GPFS cluster spans
@@ -1060,21 +1052,11 @@ bool run_site_outage(const std::string& json_path) {
   gpfs::Client* cold1 = edge_mount("repfs", 7);
   gpfs::Client* cold2 = edge_mount("repfs", 8);
 
-  fault::FaultInjector inject(net, Rng(7));
-  inject.watch_pool(cluster.connection_pool());
-  inject.watch_cluster(cluster);
+  fault::FaultInjector inject = make_injector(net, cluster, 7);
 
   constexpr Bytes kFile = 32 * MiB;
   bench::seed_file(homefs, "/far", kFile);
 
-  auto sync_open = [&](gpfs::Client* c, const std::string& p,
-                       gpfs::OpenFlags f) {
-    std::optional<Result<gpfs::Fh>> out;
-    c->open(p, bench::kUser, f, [&](Result<gpfs::Fh> r) { out = r; });
-    sim.run();
-    MGFS_ASSERT(out.has_value() && out->ok(), "open failed");
-    return **out;
-  };
   // Timed sequential read of the whole file; returns MB/s.
   auto timed_read = [&](gpfs::Client* c, gpfs::Fh fh) {
     std::optional<Result<Bytes>> r;
@@ -1099,12 +1081,12 @@ bool run_site_outage(const std::string& json_path) {
   };
 
   // WAN baseline: cold edge read of the unreplicated home file.
-  gpfs::Fh farfh = sync_open(wanreader, "/far", gpfs::OpenFlags::ro());
+  gpfs::Fh farfh = sync_open(sim, wanreader, "/far", gpfs::OpenFlags::ro());
   const double wan_MBps = timed_read(wanreader, farfh);
 
   // Replicated file: written once, committed; copies land on both sites.
   gpfs::Fh wfh =
-      sync_open(repwriter, "/data", gpfs::OpenFlags::create_replicated(2));
+      sync_open(sim, repwriter, "/data", gpfs::OpenFlags::create_replicated(2));
   std::optional<Result<Bytes>> ww;
   repwriter->write(wfh, 0, kFile, [&](Result<Bytes> r) { ww = r; });
   sim.run();
@@ -1116,12 +1098,12 @@ bool run_site_outage(const std::string& json_path) {
 
   // Healthy-phase cold-site rate: nearest-replica reads serve from the
   // edge copies at local rates — the with-replicas column.
-  gpfs::Fh c1fh = sync_open(cold1, "/data", gpfs::OpenFlags::ro());
+  gpfs::Fh c1fh = sync_open(sim, cold1, "/data", gpfs::OpenFlags::ro());
   const double local_MBps = timed_read(cold1, c1fh);
 
   // Open the blackout-phase reader while the cluster is still healthy
   // (a sync_open would sim.run() straight through the outage events).
-  gpfs::Fh c2fh = sync_open(cold2, "/data", gpfs::OpenFlags::ro());
+  gpfs::Fh c2fh = sync_open(sim, cold2, "/data", gpfs::OpenFlags::ro());
 
   // Blackout: every home serving node goes dark; the allocator also
   // marks the home NSDs down so writes placed during the outage route
@@ -1200,11 +1182,7 @@ bool run_site_outage(const std::string& json_path) {
               static_cast<unsigned long long>(rep_reads));
   std::printf("  manager: %s\n", repfs.stats().c_str());
 
-  bool ok = true;
-  auto check = [&](bool cond, const char* what) {
-    std::printf("  [%s] %s\n", cond ? "PASS" : "FAIL", what);
-    ok = ok && cond;
-  };
+  Checks check;
   std::cout << "\nAcceptance:\n";
   check(wan_MBps > 0 && local_MBps >= 3.0 * wan_MBps,
         "replica-local cold read >= 3x the WAN-window rate");
@@ -1231,10 +1209,10 @@ bool run_site_outage(const std::string& json_path) {
         << "  \"replica_divergences\": " << repfs.replica_divergences()
         << ",\n"
         << "  \"replicas_reconciled\": " << reconciled << ",\n"
-        << "  \"pass\": " << (ok ? "true" : "false") << "\n}\n";
+        << "  \"pass\": " << (check.ok ? "true" : "false") << "\n}\n";
     std::cout << "\n  JSON written to " << json_path << "\n";
   }
-  return ok;
+  return check.ok;
 }
 
 /// Permanent-NSD-loss drill. A 2-copy file is committed, then one NSD's
@@ -1268,21 +1246,11 @@ bool run_nsd_loss() {
   gpfs::Client* writer = *wm;
   gpfs::Client* reader = *rm;
 
-  fault::FaultInjector inject(net, Rng(7));
-  inject.watch_pool(cluster.connection_pool());
-  inject.watch_cluster(cluster);
+  fault::FaultInjector inject = make_injector(net, cluster, 7);
 
-  auto sync_open = [&](gpfs::Client* c, const std::string& p,
-                       gpfs::OpenFlags f) {
-    std::optional<Result<gpfs::Fh>> out;
-    c->open(p, bench::kUser, f, [&](Result<gpfs::Fh> r) { out = r; });
-    sim.run();
-    MGFS_ASSERT(out.has_value() && out->ok(), "open failed");
-    return **out;
-  };
   constexpr Bytes kFile = 16 * MiB;
   gpfs::Fh wfh =
-      sync_open(writer, "/data", gpfs::OpenFlags::create_replicated(2));
+      sync_open(sim, writer, "/data", gpfs::OpenFlags::create_replicated(2));
   std::optional<Result<Bytes>> ww;
   writer->write(wfh, 0, kFile, [&](Result<Bytes> r) { ww = r; });
   sim.run();
@@ -1299,14 +1267,14 @@ bool run_nsd_loss() {
 
   // Cold read through the loss: blocks with a copy on the dead NSD get
   // io_error (final, not retried) and redirect to the surviving copy.
-  gpfs::Fh rfh = sync_open(reader, "/data", gpfs::OpenFlags::ro());
+  gpfs::Fh rfh = sync_open(sim, reader, "/data", gpfs::OpenFlags::ro());
   std::optional<Result<Bytes>> rr;
   reader->read(rfh, 0, kFile, [&](Result<Bytes> r) { rr = std::move(r); });
   sim.run();
 
   // New files still allocate (around the dead NSD).
   gpfs::Fh w2fh =
-      sync_open(writer, "/after", gpfs::OpenFlags::create_replicated(2));
+      sync_open(sim, writer, "/after", gpfs::OpenFlags::create_replicated(2));
   std::optional<Result<Bytes>> w2;
   writer->write(w2fh, 0, 8 * MiB, [&](Result<Bytes> r) { w2 = r; });
   sim.run();
@@ -1326,11 +1294,7 @@ bool run_nsd_loss() {
               static_cast<unsigned long long>(reader->replica_failovers()));
   std::printf("  manager: %s\n", farm.fs->stats().c_str());
 
-  bool ok = true;
-  auto check = [&](bool cond, const char* what) {
-    std::printf("  [%s] %s\n", cond ? "PASS" : "FAIL", what);
-    ok = ok && cond;
-  };
+  Checks check;
   std::cout << "\nAcceptance:\n";
   check(rr.has_value() && rr->ok() && **rr == kFile,
         "every byte read back through the loss (zero data loss)");
@@ -1340,7 +1304,7 @@ bool run_nsd_loss() {
         "new file committed with allocation routed around the dead NSD");
   check(moved >= 1, "evacuation re-homed the lost copies");
   check(fsck.clean(), "fsck clean after evacuation");
-  return ok;
+  return check.ok;
 }
 
 }  // namespace
@@ -1435,11 +1399,7 @@ int main(int argc, char** argv) {
   std::cout << "\nclient 0 mmpmon (chaos run):\n" << chaos.mmpmon;
 
   const Bytes expected = kClients * kPerTask;
-  bool ok = true;
-  auto check = [&](bool cond, const char* what) {
-    std::printf("  [%s] %s\n", cond ? "PASS" : "FAIL", what);
-    ok = ok && cond;
-  };
+  Checks check;
   std::cout << "\nAcceptance:\n";
   check(chaos.bytes_written == expected && chaos.bytes_read == expected,
         "all bytes written and read back (zero data loss)");
@@ -1515,8 +1475,8 @@ int main(int argc, char** argv) {
         << chaos.takeover_to_first_grant_s << ",\n"
         << "  \"recovery_op_p50_s\": " << chaos.recovery_p50_s << ",\n"
         << "  \"recovery_op_p99_s\": " << chaos.recovery_p99_s << ",\n"
-        << "  \"pass\": " << (ok ? "true" : "false") << "\n}\n";
+        << "  \"pass\": " << (check.ok ? "true" : "false") << "\n}\n";
     std::cout << "\n  JSON written to " << json_path << "\n";
   }
-  return ok ? 0 : 1;
+  return check.ok ? 0 : 1;
 }

@@ -16,22 +16,22 @@
 namespace mgfs {
 
 struct RetryPolicy {
-  int max_attempts = 4;      // total tries, including the first
-  double base = 0.010;       // backoff before the first retry (seconds)
-  double multiplier = 2.0;   // growth per retry
-  double max_backoff = 1.0;  // backoff ceiling (seconds)
-  double jitter = 0.5;       // +/- fraction of the nominal delay
+  int max_attempts = 4;  // total tries, including the first
+
+  static constexpr double kBase = 0.010;       // first retry's backoff (s)
+  static constexpr double kMultiplier = 2.0;   // growth per retry
+  static constexpr double kMaxBackoff = 1.0;   // backoff ceiling (s)
+  static constexpr double kJitter = 0.5;       // +/- share of the delay
 
   /// Is a `attempt`-th failure (0-based) final under this policy?
   bool exhausted(int attempt) const { return attempt + 1 >= max_attempts; }
 
   /// Delay before retry number `attempt` + 1 (attempt is 0-based).
-  double backoff(int attempt, Rng& rng) const {
-    double d = base;
-    for (int i = 0; i < attempt; ++i) d *= multiplier;
-    d = std::min(d, max_backoff);
-    if (jitter > 0.0) d *= rng.uniform(1.0 - jitter, 1.0 + jitter);
-    return std::max(d, 0.0);
+  static double backoff(int attempt, Rng& rng) {
+    double d = kBase;
+    for (int i = 0; i < attempt; ++i) d *= kMultiplier;
+    d = std::min(d, kMaxBackoff);
+    return d * rng.uniform(1.0 - kJitter, 1.0 + kJitter);
   }
 };
 

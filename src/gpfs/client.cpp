@@ -2,10 +2,48 @@
 
 #include <algorithm>
 
+#include "common/fan_in.hpp"
 #include "common/log.hpp"
 
 namespace mgfs::gpfs {
 namespace {
+
+/// Pagepool size (whole file-system blocks are cached).
+constexpr Bytes kPagepool = 256 * MiB;
+
+/// Speculative (readahead) fill bytes in flight; demand fills are not
+/// budgeted.
+constexpr Bytes kMaxInflightFill = 48 * MiB;
+
+/// Most blocks per coalesced NSD request.
+constexpr std::size_t kCoalesceBlocks = 8;
+
+/// Cap on the token/allocation batch of a sequential write streak
+/// (blocks).
+constexpr std::size_t kWriteBatchBlocks = 64;
+
+/// Concurrent write-behind flush requests.
+constexpr std::size_t kFlushParallel = 32;
+
+/// Block-map entries per metadata RPC.
+constexpr std::uint64_t kMapChunk = 64;
+
+/// Metadata request/response payload.
+constexpr Bytes kMetaPayload = 256;
+
+/// Consecutive failures that open an NSD server's circuit breaker, and
+/// the half-open probe spacing while it is open.
+constexpr int kBreakerThreshold = 3;
+constexpr sim::Time kBreakerProbe = 1.0;
+
+/// Write-behind requeue delay after a failed flush.
+constexpr sim::Time kFlushRetryDelay = 0.05;
+
+/// Fixed retry spacing while the manager gate reports `recovering`: the
+/// full seeded-backoff schedule can sleep through a short takeover, so
+/// redrives probe at this cadence until the gate clears, then normal
+/// backoff resumes.
+constexpr sim::Time kRecoveryProbeInterval = 0.05;
 
 /// Wire cost of a bare request/ack frame on the NSD data protocol.
 constexpr Bytes kDataHeader = 64;
@@ -17,6 +55,18 @@ constexpr Bytes kExtentDesc = 16;
 /// to coalesce with the one it just popped.
 constexpr std::size_t kFlushScan = 256;
 
+/// Pass the parts of `r` outside `cut` to `emit` (all of `r` when the
+/// two do not overlap).
+template <typename Emit>
+void subtract_range(TokenRange r, TokenRange cut, Emit emit) {
+  if (!r.overlaps(cut)) {
+    emit(r);
+    return;
+  }
+  if (r.lo < cut.lo) emit(TokenRange{r.lo, cut.lo});
+  if (cut.hi < r.hi) emit(TokenRange{cut.hi, r.hi});
+}
+
 }  // namespace
 
 Client::Client(Rpc& rpc, net::NodeId node, ClientId id, ClientConfig cfg,
@@ -26,7 +76,7 @@ Client::Client(Rpc& rpc, net::NodeId node, ClientId id, ClientConfig cfg,
       id_(id),
       cfg_(cfg),
       rng_(rng),
-      pool_(cfg.pagepool, 1 * MiB),
+      pool_(kPagepool, 1 * MiB),
       cpu_(rpc.pool().network().simulator(),
            "client" + std::to_string(id) + ".cpu") {}
 
@@ -57,15 +107,9 @@ void Client::meta_call(std::uint32_t shard, Bytes req_payload,
       },
       [this, shard, req_payload, server, attempt, target, started_at,
        saw_recovery, done = std::move(done)](Result<R> res) mutable {
-        if (res.ok()) {
-          if (saw_recovery) {
-            recovery_op_hist_.add(simulator().now() - started_at);
-          }
-          done(std::move(res));
-          return;
-        }
         if (res.code() == Errc::timed_out) ++rpc_timeouts_;
-        if (!retryable(res.code()) || cfg_.retry.exhausted(attempt)) {
+        if (res.ok() || !retryable(res.code()) ||
+            cfg_.retry.exhausted(attempt)) {
           if (saw_recovery) {
             recovery_op_hist_.add(simulator().now() - started_at);
           }
@@ -97,7 +141,7 @@ void Client::meta_call(std::uint32_t shard, Bytes req_payload,
         const bool probing = mounted() && fs_->recovering();
         if (probing) ++recovery_probes_;
         const sim::Time delay = probing
-                                    ? cfg_.recovery_probe_interval
+                                    ? kRecoveryProbeInterval
                                     : cfg_.retry.backoff(attempt, rng_);
         simulator().after(
             delay,
@@ -124,6 +168,21 @@ void Client::meta_call(std::uint32_t shard, Bytes req_payload,
       Rpc::CallOptions{cfg_.rpc_deadline});
 }
 
+void Client::meta_status(std::uint32_t shard, Bytes req_payload,
+                         Bytes reply_payload, std::function<Status()> op,
+                         std::function<void(Status)> done) {
+  meta_call<int>(
+      shard, req_payload,
+      [op = std::move(op), reply_payload](Rpc::ReplyFn<int> reply) {
+        const Status st = op();
+        reply(reply_payload,
+              st.ok() ? Result<int>(0) : Result<int>(st.error()));
+      },
+      [done = std::move(done)](Result<int> r) {
+        done(r.ok() ? Status{} : Status(r.error()));
+      });
+}
+
 void Client::bind(FileSystem* fs, AccessMode access, double cipher_s_per_byte,
                   ServerLookup servers) {
   MGFS_ASSERT(fs != nullptr, "bind to null file system");
@@ -134,7 +193,7 @@ void Client::bind(FileSystem* fs, AccessMode access, double cipher_s_per_byte,
   servers_ = std::move(servers);
   seed_manager_views();
   // The pagepool caches whole file-system blocks.
-  pool_ = PagePool(cfg_.pagepool, fs->block_size());
+  pool_ = PagePool(kPagepool, fs->block_size());
 }
 
 void Client::seed_manager_views() {
@@ -171,14 +230,15 @@ Bytes Client::known_size(Fh fh) const {
 // token cache
 // --------------------------------------------------------------------------
 
-bool Client::token_covers(InodeNum ino, TokenRange r, LockMode mode) const {
+const Client::HeldToken* Client::token_covering(InodeNum ino, TokenRange r,
+                                                LockMode mode) const {
   auto it = held_.find(ino);
-  if (it == held_.end()) return false;
+  if (it == held_.end()) return nullptr;
   for (const HeldToken& h : it->second) {
     if (mode == LockMode::rw && h.mode != LockMode::rw) continue;
-    if (h.range.contains(r)) return true;
+    if (h.range.contains(r)) return &h;
   }
-  return false;
+  return nullptr;
 }
 
 void Client::token_record(InodeNum ino, TokenRange r, LockMode mode,
@@ -214,16 +274,9 @@ void Client::token_trim(InodeNum ino, TokenRange r) {
   std::vector<HeldToken> next;
   next.reserve(it->second.size());
   for (const HeldToken& h : it->second) {
-    if (!h.range.overlaps(r)) {
-      next.push_back(h);
-      continue;
-    }
-    if (h.range.lo < r.lo) {
-      next.push_back({h.mode, {h.range.lo, r.lo}, h.widened});
-    }
-    if (r.hi < h.range.hi) {
-      next.push_back({h.mode, {r.hi, h.range.hi}, h.widened});
-    }
+    subtract_range(h.range, r, [&](TokenRange piece) {
+      next.push_back({h.mode, piece, h.widened});
+    });
   }
   if (next.empty()) {
     held_.erase(it);
@@ -235,18 +288,12 @@ void Client::token_trim(InodeNum ino, TokenRange r) {
 void Client::ensure_token(InodeNum ino, TokenRange required,
                           TokenRange desired, LockMode mode,
                           std::function<void(Status)> done) {
-  auto it = held_.find(ino);
-  if (it != held_.end()) {
-    for (const HeldToken& h : it->second) {
-      if (mode == LockMode::rw && h.mode != LockMode::rw) continue;
-      if (h.range.contains(required)) {
-        // A hit on a batched (widened) grant is a metadata RPC the
-        // per-block protocol would have made.
-        if (h.widened) ++meta_rpcs_saved_;
-        done(Status{});
-        return;
-      }
-    }
+  if (const HeldToken* h = token_covering(ino, required, mode)) {
+    // A hit on a batched (widened) grant is a metadata RPC the
+    // per-block protocol would have made.
+    if (h->widened) ++meta_rpcs_saved_;
+    done(Status{});
+    return;
   }
   FileSystem* fs = fs_;
   const ClientId me = id_;
@@ -333,7 +380,7 @@ void Client::ensure_map(InodeNum ino, std::uint64_t first,
                         std::function<void(Status)> done) {
   // Collect chunk-aligned fetches covering missing entries.
   std::vector<std::uint64_t> chunk_starts;
-  const std::uint64_t cs = cfg_.map_chunk;
+  const std::uint64_t cs = kMapChunk;
   for (std::uint64_t bi = first; bi < first + count; ++bi) {
     if (map_entry(ino, bi) == nullptr) {
       const std::uint64_t start = bi - (bi % cs);
@@ -347,30 +394,24 @@ void Client::ensure_map(InodeNum ino, std::uint64_t first,
     done(Status{});
     return;
   }
-  struct Gather {
-    std::size_t outstanding;
-    Status first_error;
-    std::function<void(Status)> done;
-  };
-  auto g = std::make_shared<Gather>(
-      Gather{chunk_starts.size(), Status{}, std::move(done)});
+  FanIn join(chunk_starts.size(), std::move(done));
   FileSystem* fs = fs_;
   const std::uint32_t shard = fs_->shard_of(ino);
   for (std::uint64_t start : chunk_starts) {
     meta_call<BlockMapChunk>(
-        shard, cfg_.meta_payload,
+        shard, kMetaPayload,
         [fs, ino, start, cs](Rpc::ReplyFn<BlockMapChunk> reply) {
           auto res = fs->op_block_map(ino, start, cs);
           const Bytes payload = 16 * cs;  // ~16 bytes per map entry
           reply(payload, std::move(res));
         },
-        [this, ino, g](Result<BlockMapChunk> res) {
-          if (res.ok()) {
-            install_chunk(ino, *res);
-          } else if (g->first_error.ok()) {
-            g->first_error = res.error();
+        [this, ino, join](Result<BlockMapChunk> res) {
+          if (!res.ok()) {
+            join(res.error());
+            return;
           }
-          if (--g->outstanding == 0) g->done(g->first_error);
+          install_chunk(ino, *res);
+          join();
         });
   }
 }
@@ -393,7 +434,7 @@ void Client::consume_probe(net::NodeId n) {
   // Consumed here — at issue time — rather than when the target list
   // was built: a backup-position slot that is never exercised must not
   // burn the probe window.
-  it->second.next_probe = simulator().now() + cfg_.breaker_probe;
+  it->second.next_probe = simulator().now() + kBreakerProbe;
   ++breaker_probes_;
 }
 
@@ -409,12 +450,12 @@ void Client::note_server_fail(net::NodeId n) {
   ++h.fails;
   if (h.open) {
     // Failed probe: stay open, space out the next trial.
-    h.next_probe = simulator().now() + cfg_.breaker_probe;
+    h.next_probe = simulator().now() + kBreakerProbe;
     return;
   }
-  if (h.fails >= cfg_.breaker_threshold) {
+  if (h.fails >= kBreakerThreshold) {
     h.open = true;
-    h.next_probe = simulator().now() + cfg_.breaker_probe;
+    h.next_probe = simulator().now() + kBreakerProbe;
     ++breaker_opens_;
     MGFS_WARN("client", "circuit breaker open for NSD server node "
                             << n.v << " after " << h.fails
@@ -430,8 +471,7 @@ bool Client::breaker_open(net::NodeId node) const {
 /// One round = try every admitted serving node in preference order
 /// (primary, then backup). Rounds are re-run under the retry policy's
 /// backoff until it is exhausted; a multi-block run whose servers all
-/// failed is split back into single-block retries (split_run) so one
-/// poisoned block cannot hold the rest of the run hostage.
+/// failed is split back into single-block retries.
 void Client::nsd_io_run(NsdRun run, bool write, int attempt, RunDone done) {
   if (!mounted()) {
     done(run, err(Errc::unavailable, "unmounted"));
@@ -457,12 +497,10 @@ void Client::nsd_io_run(NsdRun run, bool write, int attempt, RunDone done) {
       return;
     }
     ++rpc_retries_;
-    simulator().after(cfg_.retry.backoff(attempt, rng_),
-                      [this, run = std::move(run), write, attempt,
-                       done = std::move(done)]() mutable {
-                        nsd_io_run(std::move(run), write, attempt + 1,
-                                   std::move(done));
-                      });
+    std::vector<NsdRun> runs;
+    runs.push_back(std::move(run));
+    reissue_runs(cfg_.retry.backoff(attempt, rng_), std::move(runs), write,
+                 attempt + 1, std::move(done));
     return;
   }
   nsd_run_attempt(std::move(run), write, std::move(targets), 0, attempt,
@@ -543,12 +581,10 @@ void Client::nsd_run_attempt(NsdRun run, bool write,
       // the short recovery cadence; the attempt is not consumed (the
       // rebuild always finishes, so this cannot loop forever).
       ++recovery_probes_;
-      simulator().after(cfg_.recovery_probe_interval,
-                        [this, run = std::move(run), write, attempt,
-                         done = std::move(done)]() mutable {
-                          nsd_io_run(std::move(run), write, attempt,
-                                     std::move(done));
-                        });
+      std::vector<NsdRun> runs;
+      runs.push_back(std::move(run));
+      reissue_runs(kRecoveryProbeInterval, std::move(runs), write, attempt,
+                   std::move(done));
       return;
     }
     note_server_fail(target);
@@ -566,16 +602,29 @@ void Client::nsd_run_attempt(NsdRun run, bool write,
       return;
     }
     ++rpc_retries_;
+    std::vector<NsdRun> runs;
     if (run.items.size() > 1) {
-      split_run(std::move(run), write, attempt, std::move(done));
-      return;
+      // Both servers failed a coalesced request: re-issue every block as
+      // its own single-block run. Each sub-run reaches the shared RunDone
+      // exactly once, so together they cover the original run's items
+      // exactly once — no block is lost and none completes twice, and
+      // one poisoned block cannot hold the rest of the run hostage.
+      ++coal_splits_;
+      MGFS_WARN("client", "splitting failed coalesced request: nsd "
+                              << run.nsd << ", " << run.items.size()
+                              << " blocks retried singly");
+      for (const BlockFetch& f : run.items) {
+        NsdRun single;
+        single.nsd = run.nsd;
+        single.items.push_back(f);
+        single.extents.push_back(NsdExtent{f.addr.block, 1});
+        runs.push_back(std::move(single));
+      }
+    } else {
+      runs.push_back(std::move(run));
     }
-    simulator().after(cfg_.retry.backoff(attempt, rng_),
-                      [this, run = std::move(run), write, attempt,
-                       done = std::move(done)]() mutable {
-                        nsd_io_run(std::move(run), write, attempt + 1,
-                                   std::move(done));
-                      });
+    reissue_runs(cfg_.retry.backoff(attempt, rng_), std::move(runs), write,
+                 attempt + 1, std::move(done));
   };
 
   consume_probe(target);
@@ -633,34 +682,18 @@ void Client::nsd_run_attempt(NsdRun run, bool write,
       std::move(after_transport), Rpc::CallOptions{cfg_.rpc_deadline});
 }
 
-/// Both servers failed a coalesced request: re-issue every block as its
-/// own single-block run under the next backoff round. Each sub-run
-/// reaches the shared RunDone exactly once, so together they cover the
-/// original run's items exactly once — no block is lost and none
-/// completes twice.
-void Client::split_run(NsdRun run, bool write, int attempt, RunDone done) {
-  ++coal_splits_;
-  MGFS_WARN("client", "splitting failed coalesced request: nsd "
-                          << run.nsd << ", " << run.items.size()
-                          << " blocks retried singly");
-  simulator().after(
-      cfg_.retry.backoff(attempt, rng_),
-      [this, run = std::move(run), write, attempt,
-       done = std::move(done)]() mutable {
-        for (const BlockFetch& f : run.items) {
-          NsdRun single;
-          single.nsd = run.nsd;
-          single.items.push_back(f);
-          single.extents.push_back(NsdExtent{f.addr.block, 1});
-          nsd_io_run(std::move(single), write, attempt + 1, done);
-        }
-      });
+void Client::reissue_runs(sim::Time delay, std::vector<NsdRun> runs,
+                          bool write, int attempt, RunDone done) {
+  simulator().after(delay, [this, runs = std::move(runs), write, attempt,
+                            done = std::move(done)]() mutable {
+    for (NsdRun& r : runs) nsd_io_run(std::move(r), write, attempt, done);
+  });
 }
 
 void Client::issue_fills(std::vector<BlockFetch> fetch) {
   if (fetch.empty()) return;
   const Bytes bs = block_size();
-  auto runs = build_nsd_runs(std::move(fetch), cfg_.coalesce_blocks);
+  auto runs = build_nsd_runs(std::move(fetch), kCoalesceBlocks);
   for (NsdRun& run : runs) {
     for (const BlockFetch& f : run.items) {
       if (f.speculative) fill_inflight_ += bs;
@@ -728,14 +761,52 @@ void Client::finish_fill(const PageKey& key, const Status& st,
     // Install only if we still may cache this range (a revoke may have
     // raced with the fill).
     const TokenRange r{key.block * bs, (key.block + 1) * bs};
-    if (token_covers(key.ino, r, LockMode::ro) ||
-        token_covers(key.ino, r, LockMode::rw)) {
+    if (token_covering(key.ino, r, LockMode::ro) != nullptr) {
       pool_.insert_clean(key);
     }
   }
   auto node = fill_waiters_.extract(key);
   if (node.empty()) return;
   for (auto& cb : node.mapped()) cb(st);
+}
+
+Client::BlockPlan Client::plan_block(InodeNum ino, std::uint64_t bi,
+                                     bool speculative,
+                                     std::vector<BlockFetch>& fetch) {
+  const PageKey key{ino, bi};
+  const bool cached = pool_.contains(key);
+  if (!speculative) {
+    pool_.note_lookup(cached);
+    if (cached) pool_.touch(key);
+  }
+  if (cached) return BlockPlan::hit;
+  if (fill_waiters_.count(key) > 0) return BlockPlan::join;
+  std::optional<BlockPlacement>* entry = map_entry(ino, bi);
+  MGFS_ASSERT(speculative || entry != nullptr,
+              "block map not populated before fill");
+  if (entry == nullptr || !entry->has_value()) return BlockPlan::hole;
+  if (speculative) {
+    const Bytes bs = block_size();
+    const TokenRange r{bi * bs, (bi + 1) * bs};
+    if (token_covering(ino, r, LockMode::ro) == nullptr) return BlockPlan::hole;
+  }
+  const BlockPlacement& pl = **entry;
+  std::uint8_t c = pick_copy(pl, 0);
+  if (c >= pl.copies) c = 0;
+  fill_waiters_[key];
+  fetch.push_back(BlockFetch{key, pl.addr[c], speculative, c,
+                             static_cast<std::uint8_t>(1u << c)});
+  if (speculative) ++ra_issued_;
+  return BlockPlan::fetch;
+}
+
+void Client::plan_readahead(InodeNum ino, std::uint64_t lo, std::uint64_t hi,
+                            std::vector<BlockFetch>& fetch) {
+  const Bytes bs = block_size();
+  for (std::uint64_t bi = lo; bi < hi; ++bi) {
+    if (fill_inflight_ + fetch.size() * bs >= kMaxInflightFill) break;
+    plan_block(ino, bi, /*speculative=*/true, fetch);
+  }
 }
 
 void Client::prefetch_strided(InodeNum ino, std::uint64_t b0,
@@ -750,61 +821,11 @@ void Client::prefetch_strided(InodeNum ino, std::uint64_t b0,
         if (!st.ok() || !mounted()) return;
         ensure_map(ino, b0, count, [this, ino, b0, count](Status st) {
           if (!st.ok() || !mounted()) return;
-          const Bytes bs = block_size();
           std::vector<BlockFetch> fetch;
-          for (std::uint64_t bi = b0; bi < b0 + count; ++bi) {
-            if (fill_inflight_ + fetch.size() * bs >= cfg_.max_inflight_fill) {
-              break;
-            }
-            const PageKey key{ino, bi};
-            if (pool_.contains(key) || fill_waiters_.count(key) > 0) continue;
-            std::optional<BlockPlacement>* entry = map_entry(ino, bi);
-            if (entry == nullptr || !entry->has_value()) continue;
-            const TokenRange r{bi * bs, (bi + 1) * bs};
-            if (!token_covers(ino, r, LockMode::ro) &&
-                !token_covers(ino, r, LockMode::rw)) {
-              continue;
-            }
-            const BlockPlacement& pl = **entry;
-            std::uint8_t c = pick_copy(pl, 0);
-            if (c >= pl.copies) c = 0;
-            fill_waiters_[key];
-            fetch.push_back(BlockFetch{key, pl.addr[c], /*speculative=*/true,
-                                       c, static_cast<std::uint8_t>(1u << c)});
-            ++ra_issued_;
-          }
+          plan_readahead(ino, b0, b0 + count, fetch);
           issue_fills(std::move(fetch));
         });
       });
-}
-
-void Client::ensure_block_present(InodeNum ino, std::uint64_t bi,
-                                  std::function<void(Status)> done) {
-  const PageKey key{ino, bi};
-  if (pool_.contains(key)) {
-    pool_.note_lookup(true);
-    pool_.touch(key);
-    done(Status{});
-    return;
-  }
-  pool_.note_lookup(false);
-  auto wit = fill_waiters_.find(key);
-  if (wit != fill_waiters_.end()) {
-    wit->second.push_back(std::move(done));
-    return;
-  }
-  std::optional<BlockPlacement>* entry = map_entry(ino, bi);
-  MGFS_ASSERT(entry != nullptr, "block map not populated before fill");
-  if (!entry->has_value()) {
-    done(Status{});  // hole: zeros, nothing to fetch
-    return;
-  }
-  const BlockPlacement pl = **entry;
-  std::uint8_t c = pick_copy(pl, 0);
-  if (c >= pl.copies) c = 0;
-  fill_waiters_[key].push_back(std::move(done));
-  issue_fills({BlockFetch{key, pl.addr[c], /*speculative=*/false, c,
-                          static_cast<std::uint8_t>(1u << c)}});
 }
 
 // --------------------------------------------------------------------------
@@ -824,7 +845,7 @@ void Client::open(const std::string& path, const Principal& who,
   FileSystem* fs = fs_;
   const ClientId me = id_;
   meta_call<OpenResult>(
-      fs_->shard_of_path(path), cfg_.meta_payload,
+      fs_->shard_of_path(path), kMetaPayload,
       [fs, path, who, flags, me](Rpc::ReplyFn<OpenResult> reply) {
         reply(64, fs->op_open(path, who, flags, me));
       },
@@ -840,9 +861,9 @@ void Client::open(const std::string& path, const Principal& who,
         f.who = who;
         f.flags = flags;
         f.size = res->size;
-        f.ra = ReadaheadRamp(static_cast<std::uint64_t>(cfg_.readahead_min),
+        f.ra = ReadaheadRamp(static_cast<std::uint64_t>(kReadaheadMin),
                              static_cast<std::uint64_t>(cfg_.readahead_blocks));
-        f.wb = ReadaheadRamp(8, cfg_.write_batch_blocks);
+        f.wb = ReadaheadRamp(8, kWriteBatchBlocks);
         open_[fh] = std::move(f);
         done(fh);
       });
@@ -898,7 +919,7 @@ void Client::read(Fh fh, Bytes offset, Bytes len,
 
   ensure_token(
       ino, required, desired, LockMode::ro,
-      [this, ino, b0, b1, map_hi, len, bs,
+      [this, ino, b0, b1, map_hi, len,
        done = std::move(done)](Status st) mutable {
         if (!st.ok()) {
           done(st.error());
@@ -906,69 +927,25 @@ void Client::read(Fh fh, Bytes offset, Bytes len,
         }
         ensure_map(
             ino, b0, map_hi - b0 + 1,
-            [this, ino, b0, b1, map_hi, len, bs,
+            [this, ino, b0, b1, map_hi, len,
              done = std::move(done)](Status st) mutable {
               if (!st.ok()) {
                 done(st.error());
                 return;
               }
-              // Plan the demand blocks: cache hits are done, blocks with
-              // a fill already in flight are joined, the rest are fetched.
+              // Plan the demand blocks, then the readahead: it rides in
+              // the same runs, so a demand fill and its same-NSD
+              // successors become one wire request. Only readahead is
+              // subject to the fill budget.
               std::vector<std::uint64_t> wait;
               std::vector<BlockFetch> fetch;
               for (std::uint64_t bi = b0; bi <= b1; ++bi) {
-                const PageKey key{ino, bi};
-                if (pool_.contains(key)) {
-                  pool_.note_lookup(true);
-                  pool_.touch(key);
-                  continue;
-                }
-                pool_.note_lookup(false);
-                if (fill_waiters_.count(key) > 0) {
+                const BlockPlan p = plan_block(ino, bi, false, fetch);
+                if (p == BlockPlan::join || p == BlockPlan::fetch) {
                   wait.push_back(bi);
-                  continue;
                 }
-                std::optional<BlockPlacement>* entry = map_entry(ino, bi);
-                MGFS_ASSERT(entry != nullptr,
-                            "block map not populated before fill");
-                if (!entry->has_value()) continue;  // hole: zeros
-                const BlockPlacement& pl = **entry;
-                std::uint8_t c = pick_copy(pl, 0);
-                if (c >= pl.copies) c = 0;
-                wait.push_back(bi);
-                fetch.push_back(
-                    BlockFetch{key, pl.addr[c], /*speculative=*/false, c,
-                               static_cast<std::uint8_t>(1u << c)});
-                fill_waiters_[key];  // reserve: dedup point for later reads
               }
-              // Readahead rides in the same runs as the demand blocks, so
-              // a demand fill and its same-NSD successors become one wire
-              // request. Only readahead is subject to the fill budget.
-              for (std::uint64_t bi = b1 + 1; bi <= map_hi; ++bi) {
-                if (fill_inflight_ + fetch.size() * bs >=
-                    cfg_.max_inflight_fill) {
-                  break;
-                }
-                const PageKey key{ino, bi};
-                if (pool_.contains(key) || fill_waiters_.count(key) > 0) {
-                  continue;
-                }
-                std::optional<BlockPlacement>* entry = map_entry(ino, bi);
-                if (entry == nullptr || !entry->has_value()) continue;
-                const TokenRange r{bi * bs, (bi + 1) * bs};
-                if (!token_covers(ino, r, LockMode::ro) &&
-                    !token_covers(ino, r, LockMode::rw)) {
-                  continue;
-                }
-                const BlockPlacement& pl = **entry;
-                std::uint8_t c = pick_copy(pl, 0);
-                if (c >= pl.copies) c = 0;
-                fill_waiters_[key];
-                fetch.push_back(
-                    BlockFetch{key, pl.addr[c], /*speculative=*/true, c,
-                               static_cast<std::uint8_t>(1u << c)});
-                ++ra_issued_;
-              }
+              plan_readahead(ino, b1 + 1, map_hi + 1, fetch);
               if (wait.empty()) {
                 issue_fills(std::move(fetch));
                 // Fully-cached reads must still complete asynchronously:
@@ -977,27 +954,18 @@ void Client::read(Fh fh, Bytes offset, Bytes len,
                     [len, done = std::move(done)] { done(len); });
                 return;
               }
-              struct Gather {
-                std::size_t outstanding;
-                Status first_error;
-                std::function<void(Result<Bytes>)> done;
-                Bytes len;
-              };
-              auto g = std::make_shared<Gather>(
-                  Gather{wait.size(), Status{}, std::move(done), len});
+              FanIn join(wait.size(),
+                         [len, done = std::move(done)](Status st) {
+                           if (st.ok()) {
+                             done(len);
+                           } else {
+                             done(st.error());
+                           }
+                         });
               // Register waiters before issuing: a breaker fast-fail can
               // complete synchronously.
               for (std::uint64_t bi : wait) {
-                fill_waiters_[PageKey{ino, bi}].push_back([g](Status st) {
-                  if (!st.ok() && g->first_error.ok()) g->first_error = st;
-                  if (--g->outstanding == 0) {
-                    if (g->first_error.ok()) {
-                      g->done(g->len);
-                    } else {
-                      g->done(g->first_error.error());
-                    }
-                  }
-                });
+                fill_waiters_[PageKey{ino, bi}].push_back(join);
               }
               issue_fills(std::move(fetch));
             });
@@ -1033,7 +1001,7 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
   const std::uint64_t wnd = f->wb.on_access(b0, b1);
   const std::uint64_t batch =
       (f->wb.hits() >= 2 && wnd > 0)
-          ? std::min<std::uint64_t>(wnd, cfg_.write_batch_blocks)
+          ? std::min<std::uint64_t>(wnd, kWriteBatchBlocks)
           : 0;
 
   const TokenRange required{offset, offset + len};
@@ -1123,15 +1091,16 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
             commit(Status{});
             return;
           }
-          auto g = std::make_shared<std::pair<std::size_t, Status>>(
-              rmw.size(), Status{});
-          auto commit_shared =
-              std::make_shared<decltype(commit)>(std::move(commit));
+          FanIn join(rmw.size(), std::move(commit));
           for (std::uint64_t bi : rmw) {
-            ensure_block_present(ino, bi, [g, commit_shared](Status st) {
-              if (!st.ok() && g->second.ok()) g->second = st;
-              if (--g->first == 0) (*commit_shared)(g->second);
-            });
+            std::vector<BlockFetch> fetch;
+            const BlockPlan p = plan_block(ino, bi, false, fetch);
+            if (p == BlockPlan::join || p == BlockPlan::fetch) {
+              fill_waiters_[PageKey{ino, bi}].push_back(join);
+            } else {
+              join();
+            }
+            issue_fills(std::move(fetch));
           }
         };
         if (!need_alloc) {
@@ -1145,7 +1114,7 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
         const std::size_t count =
             static_cast<std::size_t>(b1 - b0 + 1 + batch);
         meta_call<BlockMapChunk>(
-            fs_->shard_of(ino), cfg_.meta_payload,
+            fs_->shard_of(ino), kMetaPayload,
             [fs, ino, b0, count, new_size,
              me](Rpc::ReplyFn<BlockMapChunk> reply) {
               reply(16 * count,
@@ -1169,7 +1138,7 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
 }
 
 void Client::pump_flush() {
-  while (flights_ < cfg_.flush_parallel && !dirty_fifo_.empty()) {
+  while (flights_ < kFlushParallel && !dirty_fifo_.empty()) {
     const PageKey key = dirty_fifo_.front();
     dirty_fifo_.pop_front();
     if (!pool_.is_dirty(key)) continue;  // cleaned or invalidated already
@@ -1184,29 +1153,27 @@ void Client::pump_flush() {
     // Replicated blocks coalesce on their *anchor* copy; propagation to
     // the other copies fans out per block after the anchor run lands.
     std::vector<BlockFetch> items{BlockFetch{key, addr, false, ac, 0}};
-    if (cfg_.coalesce_blocks > 1) {
-      std::size_t scanned = 0;
-      for (auto it = dirty_fifo_.begin();
-           it != dirty_fifo_.end() && scanned < kFlushScan &&
-           items.size() < cfg_.coalesce_blocks;) {
-        ++scanned;
-        const PageKey k = *it;
-        if (!pool_.is_dirty(k)) {
-          it = dirty_fifo_.erase(it);
-          continue;
-        }
-        auto a2 = dirty_addr_.find(k);
-        MGFS_ASSERT(a2 != dirty_addr_.end(), "dirty page without address");
-        const std::uint8_t ac2 = flush_anchor(a2->second);
-        if (a2->second.addr[ac2].nsd == addr.nsd) {
-          items.push_back(BlockFetch{k, a2->second.addr[ac2], false, ac2, 0});
-          it = dirty_fifo_.erase(it);
-        } else {
-          ++it;
-        }
+    std::size_t scanned = 0;
+    for (auto it = dirty_fifo_.begin();
+         it != dirty_fifo_.end() && scanned < kFlushScan &&
+         items.size() < kCoalesceBlocks;) {
+      ++scanned;
+      const PageKey k = *it;
+      if (!pool_.is_dirty(k)) {
+        it = dirty_fifo_.erase(it);
+        continue;
+      }
+      auto a2 = dirty_addr_.find(k);
+      MGFS_ASSERT(a2 != dirty_addr_.end(), "dirty page without address");
+      const std::uint8_t ac2 = flush_anchor(a2->second);
+      if (a2->second.addr[ac2].nsd == addr.nsd) {
+        items.push_back(BlockFetch{k, a2->second.addr[ac2], false, ac2, 0});
+        it = dirty_fifo_.erase(it);
+      } else {
+        ++it;
       }
     }
-    auto runs = build_nsd_runs(std::move(items), cfg_.coalesce_blocks);
+    auto runs = build_nsd_runs(std::move(items), kCoalesceBlocks);
     MGFS_ASSERT(runs.size() == 1, "flush coalescing spans one NSD");
     NsdRun run = std::move(runs.front());
     if (run.items.size() > 1) {
@@ -1256,7 +1223,7 @@ void Client::pump_flush() {
             ++replica_failovers_;
             mark_divergent(k, f.copy, [] {});
           }
-          simulator().after(cfg_.flush_retry_delay, [this, k] {
+          simulator().after(kFlushRetryDelay, [this, k] {
             if (!mounted() || !pool_.is_dirty(k)) {
               dirty_addr_.erase(k);
               return;
@@ -1308,11 +1275,9 @@ void Client::finish_block_flush(const PageKey& k, std::uint8_t anchor) {
   }
   // Propagate to every other clean copy; the page goes clean only when
   // all copies have landed (or been marked divergent on failure).
-  auto remaining = std::make_shared<std::size_t>(targets.size());
+  FanIn join(targets.size(), [this, k](Status) { complete_block_flush(k); });
   for (const std::uint8_t c : targets) {
-    write_replica_copy(k, pl.addr[c], c, [this, k, remaining] {
-      if (--*remaining == 0) complete_block_flush(k);
-    });
+    write_replica_copy(k, pl.addr[c], c, join);
   }
 }
 
@@ -1357,18 +1322,13 @@ void Client::mark_divergent(const PageKey& k, std::uint8_t copy,
   }
   FileSystem* fs = fs_;
   const ClientId me = id_;
-  meta_call<int>(
-      fs_->shard_of(k.ino), 64,
-      [fs, me, k, copy](Rpc::ReplyFn<int> reply) {
-        const Status st = fs->op_replica_divergence(me, k.ino, k.block, copy);
-        if (st.ok()) {
-          reply(16, Result<int>{0});
-        } else {
-          reply(16, Result<int>{st.error()});
-        }
+  meta_status(
+      fs_->shard_of(k.ino), 64, 16,
+      [fs, me, k, copy] {
+        return fs->op_replica_divergence(me, k.ino, k.block, copy);
       },
-      [this, k, copy, done = std::move(done)](Result<int> r) {
-        if (r.ok()) {
+      [this, k, copy, done = std::move(done)](Status st) {
+        if (st.ok()) {
           if (auto* e = map_entry(k.ino, k.block);
               e != nullptr && e->has_value()) {
             (*e)->divergent |= static_cast<std::uint8_t>(1u << copy);
@@ -1412,9 +1372,7 @@ void Client::unstall_writers() {
   for (auto& cb : stalled) cb();
 }
 
-void Client::flush_inode(InodeNum ino, std::optional<TokenRange> range,
-                         sim::Callback done) {
-  (void)range;  // flushing the whole inode is always sufficient
+void Client::flush_inode(InodeNum ino, sim::Callback done) {
   const bool busy =
       inflight_per_ino_.count(ino) > 0 || !pool_.dirty_pages(ino).empty();
   if (!busy) {
@@ -1433,23 +1391,19 @@ void Client::fsync(Fh fh, std::function<void(Status)> done) {
   }
   const InodeNum ino = f->ino;
   const Bytes size = f->size;
-  flush_inode(ino, std::nullopt, [this, ino, size,
-                                  done = std::move(done)]() mutable {
+  flush_inode(ino, [this, ino, size, done = std::move(done)]() mutable {
     if (!mounted()) {
       done(Status{});
       return;
     }
     FileSystem* fs = fs_;
     const ClientId me = id_;
-    meta_call<int>(
-        fs->shard_of(ino), 64,
-        [fs, ino, size, me](Rpc::ReplyFn<int> reply) {
-          const Status st = fs->op_extend_size(ino, size, me);
-          reply(64, st.ok() ? Result<int>(0) : Result<int>(st.error()));
-        },
-        [this, done = std::move(done)](Result<int> r) {
-          if (!r.ok() && r.code() == Errc::stale) on_lease_lapsed();
-          done(r.ok() ? Status{} : Status(r.error()));
+    meta_status(
+        fs->shard_of(ino), 64, 64,
+        [fs, ino, size, me] { return fs->op_extend_size(ino, size, me); },
+        [this, done = std::move(done)](Status st) {
+          if (st.code() == Errc::stale) on_lease_lapsed();
+          done(st);
         });
   });
 }
@@ -1474,13 +1428,8 @@ void Client::flush_all(sim::Callback done) {
     rpc_.pool().network().simulator().defer(std::move(done));
     return;
   }
-  auto remaining = std::make_shared<std::size_t>(inodes.size());
-  auto shared_done = std::make_shared<sim::Callback>(std::move(done));
-  for (InodeNum ino : inodes) {
-    flush_inode(ino, std::nullopt, [remaining, shared_done] {
-      if (--*remaining == 0) (*shared_done)();
-    });
-  }
+  FanIn join(inodes.size(), [done = std::move(done)](Status) { done(); });
+  for (InodeNum ino : inodes) flush_inode(ino, join);
 }
 
 void Client::close(Fh fh, std::function<void(Status)> done) {
@@ -1524,7 +1473,7 @@ void Client::stat(const std::string& path,
                   std::function<void(Result<StatInfo>)> done) {
   FileSystem* fs = fs_;
   meta_call<StatInfo>(
-      fs_->shard_of_path(path), cfg_.meta_payload,
+      fs_->shard_of_path(path), kMetaPayload,
       [fs, path](Rpc::ReplyFn<StatInfo> reply) {
         reply(128, fs->op_stat(path));
       },
@@ -1534,15 +1483,13 @@ void Client::stat(const std::string& path,
 void Client::mkdir(const std::string& path, const Principal& who, Mode mode,
                    std::function<void(Status)> done) {
   FileSystem* fs = fs_;
-  meta_call<int>(
-      fs_->shard_of_path(path), cfg_.meta_payload,
-      [fs, path, who, mode](Rpc::ReplyFn<int> reply) {
+  meta_status(
+      fs_->shard_of_path(path), kMetaPayload, 64,
+      [fs, path, who, mode] {
         auto r = fs->op_mkdir(path, who, mode);
-        reply(64, r.ok() ? Result<int>(0) : Result<int>(r.error()));
+        return r.ok() ? Status{} : Status(r.error());
       },
-      [done = std::move(done)](Result<int> r) {
-        done(r.ok() ? Status{} : Status(r.error()));
-      });
+      std::move(done));
 }
 
 void Client::readdir(const std::string& path, const Principal& who,
@@ -1550,7 +1497,7 @@ void Client::readdir(const std::string& path, const Principal& who,
                          done) {
   FileSystem* fs = fs_;
   meta_call<std::vector<std::string>>(
-      fs_->shard_of_path(path), cfg_.meta_payload,
+      fs_->shard_of_path(path), kMetaPayload,
       [fs, path, who](Rpc::ReplyFn<std::vector<std::string>> reply) {
         auto r = fs->op_readdir(path, who);
         const Bytes payload = r.ok() ? 32 * r->size() + 64 : 64;
@@ -1563,15 +1510,10 @@ void Client::unlink(const std::string& path, const Principal& who,
                     std::function<void(Status)> done) {
   FileSystem* fs = fs_;
   const ClientId me = id_;
-  meta_call<int>(
-      fs_->shard_of_path(path), cfg_.meta_payload,
-      [fs, path, who, me](Rpc::ReplyFn<int> reply) {
-        const Status st = fs->op_unlink(path, who, me);
-        reply(64, st.ok() ? Result<int>(0) : Result<int>(st.error()));
-      },
-      [done = std::move(done)](Result<int> r) {
-        done(r.ok() ? Status{} : Status(r.error()));
-      });
+  meta_status(
+      fs_->shard_of_path(path), kMetaPayload, 64,
+      [fs, path, who, me] { return fs->op_unlink(path, who, me); },
+      std::move(done));
 }
 
 void Client::rename(const std::string& from, const std::string& to,
@@ -1579,15 +1521,10 @@ void Client::rename(const std::string& from, const std::string& to,
   FileSystem* fs = fs_;
   // Routed by the source path's shard; op_rename itself gates on both
   // paths' domains, so a takeover on either side pauses the op.
-  meta_call<int>(
-      fs_->shard_of_path(from), cfg_.meta_payload,
-      [fs, from, to, who](Rpc::ReplyFn<int> reply) {
-        const Status st = fs->op_rename(from, to, who);
-        reply(64, st.ok() ? Result<int>(0) : Result<int>(st.error()));
-      },
-      [done = std::move(done)](Result<int> r) {
-        done(r.ok() ? Status{} : Status(r.error()));
-      });
+  meta_status(
+      fs_->shard_of_path(from), kMetaPayload, 64,
+      [fs, from, to, who] { return fs->op_rename(from, to, who); },
+      std::move(done));
 }
 
 // --------------------------------------------------------------------------
@@ -1759,31 +1696,6 @@ void Client::crash_reset() {
   discard_cached_state(/*reset_breakers=*/true);
 }
 
-void Client::handle_revoke(InodeNum ino, TokenRange range,
-                           sim::Callback done) {
-  flush_inode(ino, range, [this, ino, range, done = std::move(done)] {
-    const Bytes bs = block_size();
-    const std::uint64_t lo_blk = range.lo / bs;
-    const std::uint64_t hi_blk =
-        range.hi == kWholeFile ? ~0ULL : ceil_div(range.hi, bs);
-    pool_.invalidate(ino, lo_blk, hi_blk);
-    // Drop the cached block map for the revoked range too: the writer
-    // this revoke hands the bytes to may mark replicas divergent, and a
-    // later read here must re-fetch the placement to see that.
-    if (auto fit = block_map_.find(ino); fit != block_map_.end()) {
-      for (auto it = fit->second.begin(); it != fit->second.end();) {
-        if (it->first >= lo_blk && it->first < hi_blk) {
-          it = fit->second.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    token_trim(ino, range);
-    done();
-  });
-}
-
 bool Client::handle_revoke(InodeNum ino, TokenRange range,
                            std::uint64_t mgr_epoch, sim::Callback done) {
   const std::uint32_t shard = fs_->shard_of(ino);
@@ -1800,7 +1712,24 @@ bool Client::handle_revoke(InodeNum ino, TokenRange range,
   // adopt its view before flushing, or the dirty pages this revoke
   // forces out would carry the old manager epoch and be fenced.
   adopt_manager_view(shard, fs_->manager_node(shard), mgr_epoch);
-  handle_revoke(ino, range, std::move(done));
+  // Flushing the whole inode is always sufficient for `range`.
+  flush_inode(ino, [this, ino, range, done = std::move(done)] {
+    const Bytes bs = block_size();
+    const std::uint64_t lo_blk = range.lo / bs;
+    const std::uint64_t hi_blk =
+        range.hi == kWholeFile ? ~0ULL : ceil_div(range.hi, bs);
+    pool_.invalidate(ino, lo_blk, hi_blk);
+    // Drop the cached block map for the revoked range too: the writer
+    // this revoke hands the bytes to may mark replicas divergent, and a
+    // later read here must re-fetch the placement to see that.
+    if (auto fit = block_map_.find(ino); fit != block_map_.end()) {
+      std::erase_if(fit->second, [&](const auto& e) {
+        return e.first >= lo_blk && e.first < hi_blk;
+      });
+    }
+    token_trim(ino, range);
+    done();
+  });
   return true;
 }
 
@@ -1891,12 +1820,8 @@ Result<ManagerAssertReply> Client::assert_tokens(net::NodeId mgr_node,
         for (const HeldToken& k : kit->second) {
           std::vector<TokenRange> next;
           for (const TokenRange& r : remain) {
-            if (!r.overlaps(k.range)) {
-              next.push_back(r);
-              continue;
-            }
-            if (r.lo < k.range.lo) next.push_back({r.lo, k.range.lo});
-            if (k.range.hi < r.hi) next.push_back({k.range.hi, r.hi});
+            subtract_range(r, k.range,
+                           [&](TokenRange piece) { next.push_back(piece); });
           }
           remain = std::move(next);
         }
@@ -1913,13 +1838,8 @@ Result<ManagerAssertReply> Client::assert_tokens(net::NodeId mgr_node,
   }
   // Replace only this shard's holdings with the clipped set; other
   // shards' entries survive untouched.
-  for (auto it = held_.begin(); it != held_.end();) {
-    if (fs_->shard_of(it->first) == shard) {
-      it = held_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(held_,
+                [&](const auto& e) { return fs_->shard_of(e.first) == shard; });
   for (auto& [ino, v] : kept) held_[ino] = std::move(v);
   // held_ iterates in hash order; the successor's rebuilt tables must
   // not depend on it.

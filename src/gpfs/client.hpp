@@ -37,30 +37,21 @@
 
 namespace mgfs::gpfs {
 
+/// The client's tunables. Everything else about the client is fixed:
+/// the pagepool, fill/flush fan-out, map chunking and breaker and
+/// backoff timings are constants in client.cpp and common/retry.hpp.
 struct ClientConfig {
-  Bytes pagepool = 256 * MiB;
   int readahead_blocks = 32;         // adaptive readahead cap (blocks)
-  int readahead_min = 4;             // ramp start after first sequential hit
-  Bytes max_inflight_fill = 48 * MiB;  // speculative fill bytes in flight
-  std::size_t coalesce_blocks = 8;   // max blocks per coalesced NSD request
-  std::size_t write_batch_blocks = 64;  // token/alloc batch on write streaks
   Bytes max_dirty = 64 * MiB;        // write-behind ceiling
-  std::size_t flush_parallel = 32;   // concurrent write-behind I/Os
-  std::size_t map_chunk = 64;        // block-map entries per metadata RPC
-  Bytes meta_payload = 256;          // metadata request/response payload
 
   // --- fault model (DESIGN.md "Failure model & recovery semantics") ---
   sim::Time rpc_deadline = 30.0;     // per-RPC round-trip bound (0 = none)
   RetryPolicy retry{};               // metadata + NSD I/O re-issue policy
-  int breaker_threshold = 3;         // consecutive failures to open
-  sim::Time breaker_probe = 1.0;     // half-open probe spacing while open
-  sim::Time flush_retry_delay = 0.05;  // write-behind requeue after failure
-  /// Fixed metadata-retry spacing while the manager gate reports
-  /// `recovering`: the full seeded-backoff schedule can sleep through a
-  /// short takeover, so redrives probe at this cadence until the gate
-  /// clears, then normal backoff resumes.
-  sim::Time recovery_probe_interval = 0.05;
 };
+
+/// Readahead ramp start (blocks) after the first sequential hit; the
+/// ramp then grows toward ClientConfig::readahead_blocks.
+inline constexpr int kReadaheadMin = 4;
 
 using Fh = int;  // file handle
 
@@ -137,13 +128,12 @@ class Client {
               const Principal& who, std::function<void(Status)> done);
 
   // --- coherence (called by cluster glue on manager's behalf) -----------
-  /// Flush dirty pages overlapping `range`, drop cached pages and token.
-  void handle_revoke(InodeNum ino, TokenRange range, sim::Callback done);
-  /// Epoch-checked variant: a revoke stamped with a manager epoch older
-  /// than the one this client has adopted is refused (returns false,
-  /// `done` never runs) — a deposed manager cannot strip tokens the
-  /// successor re-granted. Current-or-newer epochs are adopted and the
-  /// revoke proceeds.
+  /// Flush the inode's dirty pages, then drop the cached pages, block
+  /// map and token over `range`. The revoke is epoch-checked: one
+  /// stamped with a manager epoch older than the one this client has
+  /// adopted is refused (returns false, `done` never runs) — a deposed
+  /// manager cannot strip tokens the successor re-granted.
+  /// Current-or-newer epochs are adopted and the revoke proceeds.
   bool handle_revoke(InodeNum ino, TokenRange range, std::uint64_t mgr_epoch,
                      sim::Callback done);
 
@@ -236,7 +226,10 @@ class Client {
   };
 
   // token cache helpers
-  bool token_covers(InodeNum ino, TokenRange r, LockMode mode) const;
+  /// The held token covering `r` in `mode` (an rw holding covers ro
+  /// too), or nullptr.
+  const HeldToken* token_covering(InodeNum ino, TokenRange r,
+                                  LockMode mode) const;
   void token_record(InodeNum ino, TokenRange r, LockMode mode, bool widened);
   void token_trim(InodeNum ino, TokenRange r);
   /// Acquire `required` (a cache hit short-circuits); `desired` ⊇
@@ -267,13 +260,31 @@ class Client {
                  Rpc::ServerFn<R> server,
                  std::function<void(Result<R>)> done, int attempt = 0,
                  double started_at = -1.0, bool saw_recovery = false);
+  /// meta_call for a server op whose answer is a bare Status, carried
+  /// in a `reply_payload`-byte reply.
+  void meta_status(std::uint32_t shard, Bytes req_payload,
+                   Bytes reply_payload, std::function<Status()> op,
+                   std::function<void(Status)> done);
 
   // data path. Fills and flushes travel as NsdRuns — coalesced wire
   // requests. RunDone is a *shared* completion: it fires once per
   // terminal (unsplit) sub-run, covering every item exactly once.
   using RunDone = std::function<void(const NsdRun&, const Status&)>;
-  void ensure_block_present(InodeNum ino, std::uint64_t bi,
-                            std::function<void(Status)> done);
+  /// What a block needs before it can be read: nothing (a pagepool hit,
+  /// or a hole that reads as zeros), a join of the fill already in
+  /// flight, or a fetch.
+  enum class BlockPlan { hit, join, hole, fetch };
+  /// Classify block `bi`. On `fetch`, reserve its fill-waiter slot (the
+  /// dedup point for later reads) and append its BlockFetch to `fetch`.
+  /// A demand lookup counts in the pagepool hit ratio and asserts the
+  /// map entry is present; a speculative one fetches only blocks whose
+  /// map entry and token are already cached, and plans `hole` otherwise.
+  BlockPlan plan_block(InodeNum ino, std::uint64_t bi, bool speculative,
+                       std::vector<BlockFetch>& fetch);
+  /// Plan speculative fills for blocks [lo, hi) until the fill budget
+  /// (counting what `fetch` already carries) is spent.
+  void plan_readahead(InodeNum ino, std::uint64_t lo, std::uint64_t hi,
+                      std::vector<BlockFetch>& fetch);
   void issue_fills(std::vector<BlockFetch> fetch);
   void finish_fill(const PageKey& key, const Status& st, bool speculative);
   /// A read run failed terminally: re-issue every item that still has an
@@ -289,7 +300,9 @@ class Client {
   void nsd_run_attempt(NsdRun run, bool write,
                        std::vector<net::NodeId> targets, std::size_t ti,
                        int attempt, RunDone done);
-  void split_run(NsdRun run, bool write, int attempt, RunDone done);
+  /// After `delay`, re-issue every run in `runs` (one timer for all).
+  void reissue_runs(sim::Time delay, std::vector<NsdRun> runs, bool write,
+                    int attempt, RunDone done);
 
   // NSD server health (circuit breaker)
   struct ServerHealth {
@@ -307,8 +320,8 @@ class Client {
 
   // write-behind
   void pump_flush();
-  void flush_inode(InodeNum ino, std::optional<TokenRange> range,
-                   sim::Callback done);
+  /// Fire `done` once the inode has no dirty or in-flight pages.
+  void flush_inode(InodeNum ino, sim::Callback done);
   void unstall_writers();
   void check_flush_waiters();
   // Write-through replication: the flush anchors on the primary (or the

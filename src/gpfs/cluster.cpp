@@ -5,10 +5,15 @@
 #include <sstream>
 #include <utility>
 
+#include "common/fan_in.hpp"
 #include "common/log.hpp"
 
 namespace mgfs::gpfs {
 namespace {
+
+/// NSD server CPU per request (protocol handling, before any cipher
+/// work).
+constexpr sim::Time kNsdCpuPerRequest = 30e-6;
 
 /// Process-wide client id source: ids must be unique across clusters
 /// because remote clients appear in the exporting cluster's token
@@ -67,7 +72,7 @@ NsdServer& Cluster::add_nsd_server(net::NodeId node) {
                                   sim_, node,
                                   cfg_.name + ".nsd" +
                                       std::to_string(servers_.size()),
-                                  cfg_.nsd_cpu_per_request))
+                                  kNsdCpuPerRequest))
              .first;
     // Two-epoch fence: a write is only admitted if the sending client's
     // lease epoch is still the current grant on its file system AND the
@@ -709,8 +714,9 @@ bool Cluster::takeover_manager(FileSystem& fs, std::uint32_t shard) {
     fs.finish_takeover(shard);
     return true;
   }
-  auto remaining = std::make_shared<std::size_t>(members.size());
   FileSystem* fsp = &fs;
+  FanIn join(members.size(),
+             [fsp, shard](Status) { fsp->finish_takeover(shard); });
   for (Client* c : members) {
     // The rebuild RPC outlives any one client: an unmount (or remote
     // teardown) while it is in flight destroys the Client object, so
@@ -742,8 +748,7 @@ bool Cluster::takeover_manager(FileSystem& fs, std::uint32_t shard) {
                            : 0);
           reply(payload, std::move(r));
         },
-        [this, fsp, id, cnode, shard,
-         remaining](Result<ManagerAssertReply> r) {
+        [this, fsp, id, cnode, shard, join](Result<ManagerAssertReply> r) {
           if (r.ok()) {
             fsp->install_assertion(id, r->lease_epoch, r->tokens, shard);
           } else if (registry_.count(id) > 0) {
@@ -751,7 +756,7 @@ bool Cluster::takeover_manager(FileSystem& fs, std::uint32_t shard) {
           }
           // A client that unmounted mid-rebuild needs no lease entry at
           // all; finish_takeover replays its journal tail if it left one.
-          if (--*remaining == 0) fsp->finish_takeover(shard);
+          join();
         },
         opts);
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/fan_in.hpp"
 #include "common/log.hpp"
 
 namespace mgfs::gpfs {
@@ -195,13 +196,11 @@ Result<OpenResult> FileSystem::op_open(const std::string& path,
     if (!ino.ok()) return ino.error();
     shards_[shard_of(*ino)].journal.note_sync_op(client, JournalOp::create,
                                                  *ino);
-    const std::uint8_t copies =
-        flags.replicas != 0 ? flags.replicas : cfg_.default_replicas;
-    if (copies > 1) {
+    if (flags.replicas > 1) {
       MGFS_ASSERT(
           ns_.set_replication(
                  *ino, static_cast<std::uint8_t>(std::min<std::uint32_t>(
-                           copies, kMaxReplicas)))
+                           flags.replicas, kMaxReplicas)))
               .ok(),
           "set_replication at create failed");
     }
@@ -474,13 +473,12 @@ void FileSystem::token_retry(ClientId client, InodeNum ino, TokenRange range,
     return;
   }
   // Revoke every conflicting holding, then retry.
-  auto remaining = std::make_shared<std::size_t>(d.conflicts.size());
-  auto retry = [this, client, ino, range, desired, mode, attempts,
-                done = std::move(done)]() mutable {
-    token_retry(client, ino, range, desired, mode, attempts - 1,
-                std::move(done));
-  };
-  auto shared_retry = std::make_shared<decltype(retry)>(std::move(retry));
+  FanIn join(d.conflicts.size(),
+             [this, client, ino, range, desired, mode, attempts,
+              done = std::move(done)](Status) mutable {
+               token_retry(client, ino, range, desired, mode, attempts - 1,
+                           std::move(done));
+             });
   for (const Holding& h : d.conflicts) {
     ++revocations_;
     MGFS_DEBUG("tokens", cfg_.name << ": revoking ino " << ino
@@ -496,10 +494,7 @@ void FileSystem::token_retry(ClientId client, InodeNum ino, TokenRange range,
     const TokenRange claim = mode == LockMode::rw ? desired : range;
     const TokenRange overlap{std::max(h.range.lo, claim.lo),
                              std::min(h.range.hi, claim.hi)};
-    revoke_until_released(h.client, ino, overlap,
-                          [remaining, shared_retry] {
-                            if (--*remaining == 0) (*shared_retry)();
-                          });
+    revoke_until_released(h.client, ino, overlap, join);
   }
 }
 

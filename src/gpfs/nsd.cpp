@@ -1,7 +1,8 @@
 #include "gpfs/nsd.hpp"
 
-#include <memory>
 #include <utility>
+
+#include "common/fan_in.hpp"
 
 namespace mgfs::gpfs {
 
@@ -57,25 +58,15 @@ void NsdServer::handle_vectored(storage::BlockDevice& dev,
       slow_factor_;
   cpu_.acquire(cpu, [this, &dev, extents = std::move(extents), write, total,
                      done = std::move(done)]() mutable {
-    struct Gather {
-      std::size_t outstanding;
-      Status first_error;
-      storage::IoCallback done;
-    };
-    auto g = std::make_shared<Gather>(
-        Gather{extents.size(), Status{}, std::move(done)});
-    for (const IoExtent& e : extents) {
-      dev.io(e.offset, e.len, write, [this, g, total](const Status& st) {
-        if (!st.ok() && g->first_error.ok()) g->first_error = st;
-        if (--g->outstanding == 0) {
-          if (g->first_error.ok()) {
-            ++requests_;
-            bytes_ += total;
-          }
-          g->done(g->first_error);
-        }
-      });
-    }
+    FanIn join(extents.size(),
+               [this, total, done = std::move(done)](Status st) {
+                 if (st.ok()) {
+                   ++requests_;
+                   bytes_ += total;
+                 }
+                 done(st);
+               });
+    for (const IoExtent& e : extents) dev.io(e.offset, e.len, write, join);
   });
 }
 

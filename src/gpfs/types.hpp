@@ -101,10 +101,6 @@ struct FsConfig {
   /// short simulations never expel an idle-but-healthy client.
   double lease_duration = 60.0;
   double lease_recovery_wait = 30.0;
-  /// Data copies for newly created files (mmcrfs -r). 1 = unreplicated,
-  /// the historic behaviour; per-file overrides via OpenFlags::replicas
-  /// or FileSystem::set_replication (mmchattr -r).
-  std::uint8_t default_replicas = 1;
   /// Metadata shards (token domains). 1 = the historic single-manager
   /// plane; N > 1 hashes inodes into N domains, each with its own
   /// TokenManager, journal slice, manager node and epoch. Shard 0 is
@@ -131,8 +127,9 @@ struct OpenFlags {
   bool create = false;
   bool truncate = false;
   /// Data copies for the file if this open creates it (mmchattr -r at
-  /// birth). 0 = inherit FsConfig::default_replicas; ignored when the
-  /// file already exists.
+  /// birth). 0 or 1 = unreplicated, the file-system default; ignored
+  /// when the file already exists. FileSystem::set_replication
+  /// (mmchattr -r) changes it later.
   std::uint8_t replicas = 0;
 
   static OpenFlags ro() { return {true, false, false, false}; }

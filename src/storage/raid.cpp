@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/fan_in.hpp"
+
 namespace mgfs::storage {
 
 RaidSet::RaidSet(sim::Simulator& sim, std::vector<Disk*> members,
@@ -133,23 +135,9 @@ void RaidSet::io(Bytes offset, Bytes len, bool write, IoCallback done) {
   auto ops = plan(offset, len, write);
   MGFS_ASSERT(!ops.empty(), "plan produced no ops for valid request");
 
-  struct Gather {
-    IoCallback done;
-    std::size_t outstanding;
-    Status first_error;
-  };
-  auto g = std::make_shared<Gather>(
-      Gather{std::move(done), ops.size(), Status{}});
+  FanIn join(ops.size(), std::move(done));
   for (const DiskOp& op : ops) {
-    members_[op.member]->io(op.offset, op.len, op.write,
-                            [g](const Status& st) {
-                              if (!st.ok() && g->first_error.ok()) {
-                                g->first_error = st;
-                              }
-                              if (--g->outstanding == 0) {
-                                g->done(g->first_error);
-                              }
-                            });
+    members_[op.member]->io(op.offset, op.len, op.write, join);
   }
 }
 
@@ -172,26 +160,19 @@ void RaidSet::rebuild_chunk(std::size_t member, Bytes offset, Bytes chunk,
   }
   const Bytes len = std::min(chunk, member_capacity_ - offset);
 
-  struct Gather {
-    std::size_t outstanding;
-  };
-  auto g = std::make_shared<Gather>();
-  g->outstanding = members_.size() - 1;
-  auto proceed = [this, member, offset, len, chunk, on_done, g]() {
-    if (--g->outstanding > 0) return;
-    // Survivor reads done -> write the reconstructed extent to the target.
+  // Survivor reads done -> write the reconstructed extent to the target.
+  // A failed survivor read or rebuild-target write just stalls; callers
+  // watch rebuilding().
+  FanIn join(members_.size() - 1, [this, member, offset, len, chunk,
+                                   on_done](Status) {
     members_[member]->io(offset, len, true,
                          [this, member, offset, len, chunk,
-                          on_done](const Status& st) {
-                           (void)st;  // a failed rebuild target just stalls;
-                                      // callers watch rebuilding()
+                          on_done](const Status&) {
                            rebuild_chunk(member, offset + len, chunk, on_done);
                          });
-  };
+  });
   for (std::size_t m = 0; m < members_.size(); ++m) {
-    if (m == member) continue;
-    members_[m]->io(offset, len, false,
-                    [proceed](const Status&) { proceed(); });
+    if (m != member) members_[m]->io(offset, len, false, join);
   }
 }
 

@@ -169,14 +169,14 @@ TEST(GpfsClient, ReadaheadPrefetchesSequentialStream) {
   auto fr = mc.open(r, "/seq", kAlice, OpenFlags::ro());
   const InodeNum ino = *mc.fs->ns().resolve("/seq");
 
-  // First sequential read ramps up cautiously: exactly readahead_min
+  // First sequential read ramps up cautiously: exactly kReadaheadMin
   // blocks land ahead of the demand window, no more.
   ASSERT_TRUE(mc.read(r, *fr, 0, 2 * MiB).ok());  // blocks 0,1 (+RA)
   int cached_ahead = 0;
   for (std::uint64_t b = 2; b < 12; ++b) {
     if (r->pool().contains({ino, b})) ++cached_ahead;
   }
-  EXPECT_EQ(cached_ahead, static_cast<int>(r->config().readahead_min));
+  EXPECT_EQ(cached_ahead, kReadaheadMin);
   EXPECT_GT(r->readahead_issued(), 0u);
 
   // Confirmed sequential hits double the window toward the cap; after a

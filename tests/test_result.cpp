@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <string>
+#include <vector>
+
+#include "common/fan_in.hpp"
 
 namespace mgfs {
 namespace {
@@ -74,6 +79,62 @@ INSTANTIATE_TEST_SUITE_P(
                       Errc::io_error, Errc::unavailable, Errc::invalid_argument,
                       Errc::not_a_directory, Errc::is_a_directory,
                       Errc::not_empty, Errc::stale, Errc::timed_out));
+
+TEST(FanIn, FirstErrorWins) {
+  std::vector<Status> fired;
+  FanIn join(4, [&](Status st) { fired.push_back(st); });
+  join(Status{});
+  join(Status(Errc::io_error, "first"));
+  join(Status(Errc::unavailable, "second"));
+  join(Status{});
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].code(), Errc::io_error);
+  EXPECT_EQ(fired[0].error().detail, "first");
+}
+
+TEST(FanIn, FiresExactlyOnceAfterLastArrival) {
+  int fired = 0;
+  Status got(Errc::stale);
+  FanIn join(3, [&](Status st) {
+    ++fired;
+    got = st;
+  });
+  // Copies share one count, as when each operation holds its own copy.
+  std::vector<std::function<void(const Status&)>> arrivals(3, join);
+  arrivals[0](Status{});
+  EXPECT_EQ(fired, 0);
+  arrivals[1](Status{});
+  EXPECT_EQ(fired, 0);
+  arrivals[2](Status{});
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(got.ok());
+}
+
+TEST(FanIn, CountOnlyArrivals) {
+  int fired = 0;
+  FanIn join(2, [&](Status st) {
+    EXPECT_TRUE(st.ok());
+    ++fired;
+  });
+  std::function<void()> arrive = join;
+  arrive();
+  EXPECT_EQ(fired, 0);
+  join();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(FanIn, ReleasesCompletionWithLastCopy) {
+  auto sentinel = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = sentinel;
+  {
+    FanIn join(1, [held = std::move(sentinel)](Status) { ++*held; });
+    EXPECT_FALSE(watch.expired());
+    join();
+    // The completion ran and was dropped: nothing it captured lingers.
+    EXPECT_TRUE(watch.expired());
+  }
+  EXPECT_TRUE(watch.expired());
+}
 
 }  // namespace
 }  // namespace mgfs
