@@ -59,8 +59,9 @@ struct Checks {
   }
 };
 
-/// A seeded fault injector watching the cluster, so a node it kills
-/// also loses its pooled connections and its clients' incarnations.
+/// A seeded fault injector watching the cluster: when a node it crashed
+/// restarts, its broken pooled connections are reset and its mounted
+/// clients are expelled and re-admitted under a fresh lease epoch.
 fault::FaultInjector make_injector(net::Network& net, gpfs::Cluster& cluster,
                                    std::uint64_t seed) {
   fault::FaultInjector inject(net, Rng(seed));

@@ -48,7 +48,7 @@ struct World {
     cfg.name = "sdsc";
     cfg.tcp.window = 2 * MiB;
     cfg.tcp.chunk = 1 * MiB;
-    // Readahead is adaptive (ClientConfig::readahead_min ramping to
+    // Readahead is adaptive (gpfs::kReadaheadMin ramping to
     // the readahead_blocks cap, clamped by the strided-run detector);
     // no fixed depth override.
     cluster = std::make_unique<gpfs::Cluster>(sim, net, cfg, Rng(42));

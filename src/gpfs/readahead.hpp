@@ -117,7 +117,7 @@ struct BlockFetch {
   PageKey key;
   BlockAddr addr;
   // Readahead (vs demand) fill: only speculative bytes count against
-  // ClientConfig::max_inflight_fill — a deep demand queue must not
+  // the client's speculative fill budget — a deep demand queue must not
   // starve the prefetch pipeline that keeps it fed.
   bool speculative = false;
   // Replica copy this fetch targets (index into the block's

@@ -26,22 +26,6 @@ void FcipTunnel::transmit(bool from_a, Bytes payload, sim::Callback delivered,
             std::move(on_fail));
 }
 
-namespace {
-
-/// Shared completion state of one host-level request.
-struct Request {
-  std::size_t outstanding = 0;
-  Status first_error;
-  storage::IoCallback done;
-
-  void finish_one(const Status& st) {
-    if (!st.ok() && first_error.ok()) first_error = st;
-    if (--outstanding == 0) done(first_error);
-  }
-};
-
-}  // namespace
-
 RemoteSanVolume::RemoteSanVolume(FcipTunnel& tunnel,
                                  storage::BlockDevice& lun, Config cfg)
     : tunnel_(tunnel), lun_(lun), cfg_(cfg) {

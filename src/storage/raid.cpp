@@ -160,14 +160,14 @@ void RaidSet::rebuild_chunk(std::size_t member, Bytes offset, Bytes chunk,
   }
   const Bytes len = std::min(chunk, member_capacity_ - offset);
 
-  // Survivor reads done -> write the reconstructed extent to the target.
-  // A failed survivor read or rebuild-target write just stalls; callers
-  // watch rebuilding().
   FanIn join(members_.size() - 1, [this, member, offset, len, chunk,
                                    on_done](Status) {
+    // Survivor reads done -> write the reconstructed extent to the target.
     members_[member]->io(offset, len, true,
                          [this, member, offset, len, chunk,
-                          on_done](const Status&) {
+                          on_done](const Status& st) {
+                           (void)st;  // a failed rebuild target just stalls;
+                                      // callers watch rebuilding()
                            rebuild_chunk(member, offset + len, chunk, on_done);
                          });
   });
