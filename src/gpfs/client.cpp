@@ -25,8 +25,10 @@ constexpr std::size_t kWriteBatchBlocks = 64;
 /// Concurrent write-behind flush requests.
 constexpr std::size_t kFlushParallel = 32;
 
-/// Block-map entries per metadata RPC.
+/// Block-map entries per metadata RPC. One fetch fills exactly one
+/// cache chunk, so coverage is one mask test per fetch unit.
 constexpr std::uint64_t kMapChunk = 64;
+static_assert(kMapChunk == BlockMapCache::kChunkBlocks);
 
 /// Metadata request/response payload.
 constexpr Bytes kMetaPayload = 256;
@@ -325,32 +327,13 @@ void Client::ensure_token(InodeNum ino, TokenRange required,
 // block map cache
 // --------------------------------------------------------------------------
 
-std::optional<BlockPlacement>* Client::map_entry(InodeNum ino,
-                                                std::uint64_t bi) {
-  auto fit = block_map_.find(ino);
-  if (fit == block_map_.end()) return nullptr;
-  auto bit = fit->second.find(bi);
-  return bit == fit->second.end() ? nullptr : &bit->second;
-}
-
-void Client::install_chunk(InodeNum ino, const BlockMapChunk& chunk) {
-  auto& m = block_map_[ino];
-  // placements parallels addrs for replicated files; otherwise wrap the
-  // single address so the data path has one shape to deal with.
-  const bool rep = chunk.placements.size() == chunk.addrs.size();
-  for (std::size_t i = 0; i < chunk.addrs.size(); ++i) {
-    if (!chunk.addrs[i].has_value()) {
-      m[chunk.first_block + i] = std::nullopt;
-    } else if (rep) {
-      m[chunk.first_block + i] = chunk.placements[i];
-    } else {
-      m[chunk.first_block + i] = BlockPlacement::single(*chunk.addrs[i]);
-    }
-  }
-}
-
 std::uint8_t Client::pick_copy(const BlockPlacement& p,
                                std::uint8_t tried) const {
+  if (p.copies == 1) {  // nothing to rank
+    return (tried & 1u) != 0 || p.is_divergent(0)
+               ? static_cast<std::uint8_t>(kMaxReplicas)
+               : std::uint8_t{0};
+  }
   std::uint8_t best = static_cast<std::uint8_t>(kMaxReplicas);
   int best_penalty = 2;
   double best_rtt = 0.0;
@@ -381,13 +364,11 @@ void Client::ensure_map(InodeNum ino, std::uint64_t first,
   // Collect chunk-aligned fetches covering missing entries.
   std::vector<std::uint64_t> chunk_starts;
   const std::uint64_t cs = kMapChunk;
-  for (std::uint64_t bi = first; bi < first + count; ++bi) {
-    if (map_entry(ino, bi) == nullptr) {
-      const std::uint64_t start = bi - (bi % cs);
-      if (chunk_starts.empty() || chunk_starts.back() != start) {
-        chunk_starts.push_back(start);
-      }
-      bi = start + cs - 1;  // skip to next chunk
+  const std::uint64_t end = first + count;
+  for (std::uint64_t start = first - first % cs; start < end; start += cs) {
+    const std::uint64_t lo = std::max(first, start);
+    if (!block_map_.covers(ino, lo, std::min(end, start + cs) - lo)) {
+      chunk_starts.push_back(start);
     }
   }
   if (chunk_starts.empty()) {
@@ -410,7 +391,7 @@ void Client::ensure_map(InodeNum ino, std::uint64_t first,
             join(res.error());
             return;
           }
-          install_chunk(ino, *res);
+          block_map_.install(ino, *res);
           join();
         });
   }
@@ -719,9 +700,9 @@ bool Client::redirect_failed_fills(const NsdRun& r, const Status& st) {
   std::vector<BlockFetch> redirect;
   std::vector<BlockFetch> dead;
   for (const BlockFetch& f : r.items) {
-    std::optional<BlockPlacement>* entry = map_entry(f.key.ino, f.key.block);
-    if (entry != nullptr && entry->has_value()) {
-      const BlockPlacement& pl = **entry;
+    const MapLookup e = block_map_.lookup(f.key.ino, f.key.block);
+    if (e.mapped()) {
+      const BlockPlacement& pl = e.placement;
       const std::uint8_t c = pick_copy(pl, f.tried);
       if (c < pl.copies) {
         redirect.push_back(
@@ -781,16 +762,15 @@ Client::BlockPlan Client::plan_block(InodeNum ino, std::uint64_t bi,
   }
   if (cached) return BlockPlan::hit;
   if (fill_waiters_.count(key) > 0) return BlockPlan::join;
-  std::optional<BlockPlacement>* entry = map_entry(ino, bi);
-  MGFS_ASSERT(speculative || entry != nullptr,
-              "block map not populated before fill");
-  if (entry == nullptr || !entry->has_value()) return BlockPlan::hole;
+  const MapLookup e = block_map_.lookup(ino, bi);
+  MGFS_ASSERT(speculative || e.known(), "block map not populated before fill");
+  if (!e.mapped()) return BlockPlan::hole;
   if (speculative) {
     const Bytes bs = block_size();
     const TokenRange r{bi * bs, (bi + 1) * bs};
     if (token_covering(ino, r, LockMode::ro) == nullptr) return BlockPlan::hole;
   }
-  const BlockPlacement& pl = **entry;
+  const BlockPlacement& pl = e.placement;
   std::uint8_t c = pick_copy(pl, 0);
   if (c >= pl.copies) c = 0;
   fill_waiters_[key];
@@ -1020,8 +1000,7 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
         // when any entry is unknown or a hole.
         bool need_alloc = false;
         for (std::uint64_t bi = b0; bi <= b1 && !need_alloc; ++bi) {
-          auto* e = map_entry(ino, bi);
-          if (e == nullptr || !e->has_value()) need_alloc = true;
+          need_alloc = !block_map_.lookup(ino, bi).mapped();
         }
         if (!need_alloc) {
           // Covered by an earlier allocate-ahead batch: an allocation
@@ -1063,11 +1042,10 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
                 return;
               }
               if (!was_dirty) {
-                auto* e = map_entry(ino, bi);
-                MGFS_ASSERT(e != nullptr && e->has_value(),
-                            "dirty page without placement");
+                const MapLookup e = block_map_.lookup(ino, bi);
+                MGFS_ASSERT(e.mapped(), "dirty page without placement");
                 dirty_fifo_.push_back(key);
-                dirty_addr_[key] = **e;
+                dirty_addr_[key] = e.placement;
               }
             }
             // Commits can land out of order: an allocate-ahead-covered
@@ -1127,7 +1105,7 @@ void Client::write(Fh fh, Bytes offset, Bytes len,
                 proceed(res.error());
                 return;
               }
-              install_chunk(ino, *res);
+              block_map_.install(ino, *res);
               if (batch > 0) {
                 std::uint64_t& hi = alloc_ahead_hi_[ino];
                 hi = std::max(hi, b0 + count);
@@ -1329,10 +1307,7 @@ void Client::mark_divergent(const PageKey& k, std::uint8_t copy,
       },
       [this, k, copy, done = std::move(done)](Status st) {
         if (st.ok()) {
-          if (auto* e = map_entry(k.ino, k.block);
-              e != nullptr && e->has_value()) {
-            (*e)->divergent |= static_cast<std::uint8_t>(1u << copy);
-          }
+          block_map_.mark_divergent(k.ino, k.block, copy);
           if (auto it = dirty_addr_.find(k); it != dirty_addr_.end()) {
             it->second.divergent |= static_cast<std::uint8_t>(1u << copy);
           }
@@ -1722,11 +1697,7 @@ bool Client::handle_revoke(InodeNum ino, TokenRange range,
     // Drop the cached block map for the revoked range too: the writer
     // this revoke hands the bytes to may mark replicas divergent, and a
     // later read here must re-fetch the placement to see that.
-    if (auto fit = block_map_.find(ino); fit != block_map_.end()) {
-      std::erase_if(fit->second, [&](const auto& e) {
-        return e.first >= lo_blk && e.first < hi_blk;
-      });
-    }
+    block_map_.drop(ino, lo_blk, hi_blk);
     token_trim(ino, range);
     done();
   });

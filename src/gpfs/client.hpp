@@ -29,6 +29,7 @@
 
 #include "common/histogram.hpp"
 #include "common/retry.hpp"
+#include "gpfs/block_map.hpp"
 #include "gpfs/filesystem.hpp"
 #include "gpfs/pagepool.hpp"
 #include "gpfs/readahead.hpp"
@@ -237,13 +238,10 @@ class Client {
   void ensure_token(InodeNum ino, TokenRange required, TokenRange desired,
                     LockMode mode, std::function<void(Status)> done);
 
-  // block map cache helpers. Entries carry the full replica placement
-  // (single-copy files are a one-copy placement), so the read path can
-  // pick the nearest live copy and fail over across copies.
-  std::optional<BlockPlacement>* map_entry(InodeNum ino, std::uint64_t bi);
+  /// Fetch the block-map chunks that [first, first + count) still
+  /// misses from the manager.
   void ensure_map(InodeNum ino, std::uint64_t first, std::uint64_t count,
                   std::function<void(Status)> done);
-  void install_chunk(InodeNum ino, const BlockMapChunk& chunk);
   /// Best copy to read: lowest-RTT copy whose serving nodes are not all
   /// circuit-broken, excluding divergent copies and those in `tried`.
   /// Returns kMaxReplicas when every copy is tried or divergent.
@@ -391,10 +389,10 @@ class Client {
   Fh next_fh_ = 3;
   std::map<Fh, OpenFile> open_;
   std::unordered_map<InodeNum, std::vector<HeldToken>> held_;
-  std::unordered_map<InodeNum,
-                     std::unordered_map<std::uint64_t,
-                                        std::optional<BlockPlacement>>>
-      block_map_;
+  // Lookups carry the full replica placement (single-copy files are a
+  // one-copy placement), so the read path can pick the nearest live copy
+  // and fail over across copies.
+  BlockMapCache block_map_;
 
   // in-flight read fills: waiters per page (an entry with no waiters
   // marks a fire-and-forget readahead fill in flight — the dedup point)

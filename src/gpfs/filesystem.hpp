@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "gpfs/alloc.hpp"
+#include "gpfs/block_map.hpp"
 #include "gpfs/journal.hpp"
 #include "gpfs/lease.hpp"
 #include "gpfs/namespace.hpp"
@@ -42,15 +43,6 @@ struct OpenResult {
   InodeNum ino = 0;
   Bytes size = 0;
   bool writable = false;
-};
-
-struct BlockMapChunk {
-  std::uint64_t first_block = 0;
-  std::vector<std::optional<BlockAddr>> addrs;
-  /// Replica-aware block map: parallel to `addrs` for replicated files
-  /// (placements[i].addr[0] == *addrs[i]); empty for unreplicated files
-  /// so the single-copy wire format and payload stay unchanged.
-  std::vector<BlockPlacement> placements;
 };
 
 /// Result of an fsck-style consistency scan (tests / chaos bench).
