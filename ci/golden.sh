@@ -3,10 +3,8 @@
 # chaos drills and the examples, and diff each one's stdout+stderr (plus
 # its exit status) against the committed copy under golden/. Any
 # difference fails the gate. The default chaos soak's JSON is also
-# diffed against the committed BENCH_chaos.json.
-#
-# micro_core and scale_sweep are left out: they print wall-clock numbers
-# that differ from run to run.
+# diffed against the committed BENCH_chaos.json. The list of what runs
+# is in ci/bench_list.sh.
 #
 # Usage: ci/golden.sh [--update] [build-dir]   (default: build-golden)
 #   --update  rewrite golden/ (and BENCH_chaos.json) from this tree's
@@ -23,16 +21,8 @@ fi
 build_dir="${1:-$repo_root/build-golden}"
 golden_dir="$repo_root/golden"
 
-benches=(
-  ablation_readahead ablation_striping ablation_wan_transport
-  fig2_sc02_fcip fig5_sc03_native fig8_sc04_grid fig11_scaling
-  shard_sweep
-  tab_anl_production tab_auth_modes tab_deisa tab_future_upgrades
-  tab_hsm_futures tab_paradigm_gfs_vs_ftp tab_sc04_local_san
-  chaos_soak
-)
-scenarios=(crash_dirty_writer manager_crash shard_crash site_outage nsd_loss)
-examples=(quickstart sc02_wan_san enzo_teragrid deisa_federation nvo_archive)
+# shellcheck source=ci/bench_list.sh
+source "$repo_root/ci/bench_list.sh"
 
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$build_dir" -j "$(nproc)" --target "${benches[@]}" \
@@ -74,11 +64,13 @@ wait
 rm -f "$out_dir/chaos_soak.json.txt"
 
 if (( update )); then
-  rm -rf "$golden_dir"
+  # Only the .txt outputs are this script's; other goldens (the
+  # perfbench digests of ci/sim_digest.sh) stay.
   mkdir -p "$golden_dir"
+  rm -f "$golden_dir"/*.txt
   cp "$out_dir"/*.txt "$golden_dir/"
   cp "$out_dir/BENCH_chaos.json" "$repo_root/BENCH_chaos.json"
-  echo "golden: wrote $(ls "$golden_dir" | wc -l) files to $golden_dir"
+  echo "golden: wrote $(ls "$golden_dir"/*.txt | wc -l) files to $golden_dir"
   exit 0
 fi
 
