@@ -43,10 +43,8 @@ double run(int readahead, std::size_t app_qd) {
   workload::SequentialReader reader(clients[0], "/stream", bench::kUser,
                                     opt);
   const double t0 = sim.now();
-  bool ok = false;
-  reader.start([&ok](const Status& st) { ok = st.ok(); });
-  sim.run();
-  MGFS_ASSERT(ok, "read failed");
+  bench::must(bench::await(sim, &reader, &workload::SequentialReader::start),
+              "read failed");
   return static_cast<double>(reader.bytes_read()) / (sim.now() - t0) / 1e6;
 }
 

@@ -19,7 +19,6 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include "bench_util.hpp"
@@ -125,12 +124,11 @@ int main(int argc, char** argv) {
     const std::string path = "/mpi_" + std::to_string(n);
 
     mcfg.write = true;
-    std::optional<Result<workload::MpiIoResult>> wres;
     workload::MpiIoJob wjob(wtasks, path, bench::kUser, mcfg);
-    wjob.run([&](Result<workload::MpiIoResult> r) { wres = std::move(r); });
-    w.sim.run();
-    MGFS_ASSERT(wres.has_value() && wres->ok(), "mpi-io write failed");
-    const double wr = (*wres)->aggregate_MBps();
+    const double wr =
+        bench::must(bench::await(w.sim, &wjob, &workload::MpiIoJob::run),
+                    "mpi-io write failed")
+            .aggregate_MBps();
     if (std::getenv("MGFS_FIG11_DBG")) {
       std::cerr << wtasks[0]->mmpmon() << "\n";
     }
@@ -144,12 +142,11 @@ int main(int argc, char** argv) {
       rtasks.push_back(*c);
     }
     mcfg.write = false;
-    std::optional<Result<workload::MpiIoResult>> rres;
     workload::MpiIoJob rjob(rtasks, path, bench::kUser, mcfg);
-    rjob.run([&](Result<workload::MpiIoResult> r) { rres = std::move(r); });
-    w.sim.run();
-    MGFS_ASSERT(rres.has_value() && rres->ok(), "mpi-io read failed");
-    const double rr = (*rres)->aggregate_MBps();
+    const double rr =
+        bench::must(bench::await(w.sim, &rjob, &workload::MpiIoJob::run),
+                    "mpi-io read failed")
+            .aggregate_MBps();
     if (std::getenv("MGFS_FIG11_DBG")) {
       std::cerr << rtasks[0]->mmpmon() << "\n";
     }

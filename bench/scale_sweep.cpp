@@ -23,7 +23,6 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -92,11 +91,9 @@ ScalePoint run_fig11_shaped(std::size_t n, Bytes block, Bytes per_task) {
   const auto t0 = std::chrono::steady_clock::now();
 
   mcfg.write = true;
-  std::optional<Result<workload::MpiIoResult>> wres;
   workload::MpiIoJob wjob(tasks, "/scale", bench::kUser, mcfg);
-  wjob.run([&](Result<workload::MpiIoResult> r) { wres = std::move(r); });
-  sim.run();
-  MGFS_ASSERT(wres.has_value() && wres->ok(), "scale write failed");
+  const workload::MpiIoResult wres = bench::must(
+      bench::await(sim, &wjob, &workload::MpiIoJob::run), "scale write failed");
 
   // Cold-cache read-back: fresh clients on the same hosts (fig11 idiom).
   for (gpfs::Client* c : tasks) cluster.unmount(c);
@@ -107,17 +104,15 @@ ScalePoint run_fig11_shaped(std::size_t n, Bytes block, Bytes per_task) {
   }
 
   mcfg.write = false;
-  std::optional<Result<workload::MpiIoResult>> rres;
   workload::MpiIoJob rjob(tasks, "/scale", bench::kUser, mcfg);
-  rjob.run([&](Result<workload::MpiIoResult> r) { rres = std::move(r); });
-  sim.run();
-  MGFS_ASSERT(rres.has_value() && rres->ok(), "scale read failed");
+  const workload::MpiIoResult rres = bench::must(
+      bench::await(sim, &rjob, &workload::MpiIoJob::run), "scale read failed");
 
   ScalePoint p;
   p.clients = n;
   p.wall_s = wall_seconds_since(t0);
-  p.write_MBps = (*wres)->aggregate_MBps();
-  p.read_MBps = (*rres)->aggregate_MBps();
+  p.write_MBps = wres.aggregate_MBps();
+  p.read_MBps = rres.aggregate_MBps();
   p.events = sim.events_processed();
   p.events_per_s = static_cast<double>(p.events) / p.wall_s;
   return p;

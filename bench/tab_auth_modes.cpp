@@ -11,7 +11,6 @@
 //     crypto on both endpoints — 2005-era IA64 rates)
 #include <iomanip>
 #include <iostream>
-#include <optional>
 
 #include "bench_util.hpp"
 #include "workload/stream.hpp"
@@ -62,10 +61,8 @@ ModeResult run_mode(auth::CipherList cipher) {
   opt.stream.queue_depth = 8;
   workload::SequentialReader reader(clients[0], "/bulk", bench::kUser, opt);
   const double t0 = sim.now();
-  bool ok = false;
-  reader.start([&ok](const Status& st) { ok = st.ok(); });
-  sim.run();
-  MGFS_ASSERT(ok, "bulk read failed");
+  bench::must(bench::await(sim, &reader, &workload::SequentialReader::start),
+              "bulk read failed");
   res.read_MBps =
       static_cast<double>(reader.bytes_read()) / (sim.now() - t0) / 1e6;
   return res;

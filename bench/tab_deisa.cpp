@@ -75,10 +75,8 @@ int main() {
       workload::SequentialReader job(clients[0], "/plasma.h5", bench::kUser,
                                      opt);
       const double t0 = sim.now();
-      bool ok = false;
-      job.start([&ok](const Status& st) { ok = st.ok(); });
-      sim.run();
-      MGFS_ASSERT(ok, "deisa read failed");
+      bench::must(bench::await(sim, &job, &workload::SequentialReader::start),
+                  "deisa read failed");
       const double rate =
           static_cast<double>(job.bytes_read()) / (sim.now() - t0) / 1e6;
       direct[importer][exporter] = rate;
@@ -125,29 +123,20 @@ int main() {
   gpfs::Client* writer = *wres;
   for (const char* path : {"/shared.h5", "/single.h5"}) {
     const bool rep = std::string(path) == "/shared.h5";
-    bool created = false;
-    writer->open(path, bench::kUser,
-                 rep ? gpfs::OpenFlags::create_replicated(2)
-                     : gpfs::OpenFlags::create_rw(),
-                 [&](Result<gpfs::Fh> r) {
-                   MGFS_ASSERT(r.ok(), "fed create failed");
-                   writer->close(*r, [](Status) {});
-                   created = true;
-                 });
-    sim.run();
-    MGFS_ASSERT(created, "fed create never completed");
+    const gpfs::Fh fh = bench::must(
+        bench::await(sim, writer, &gpfs::Client::open, path, bench::kUser,
+                     rep ? gpfs::OpenFlags::create_replicated(2)
+                         : gpfs::OpenFlags::create_rw()),
+        "fed create failed");
+    bench::must(bench::await(sim, writer, &gpfs::Client::close, fh),
+                "fed close failed");
     workload::StreamConfig wcfg;
     wcfg.request = 4 * MiB;
     wcfg.queue_depth = 8;
     wcfg.total = 512 * MiB;
     workload::SequentialWriter sw(writer, path, bench::kUser, wcfg);
-    bool wdone = false;
-    sw.start([&](const Status& st) {
-      MGFS_ASSERT(st.ok(), "fed write failed");
-      wdone = true;
-    });
-    sim.run();
-    MGFS_ASSERT(wdone, "fed write never completed");
+    bench::must(bench::await(sim, &sw, &workload::SequentialWriter::start),
+                "fed write failed");
   }
 
   // Cold read of the shared dataset from every importing site, for
@@ -161,18 +150,13 @@ int main() {
     opt.stream.queue_depth = 8;
     workload::SequentialReader job(*mres, path, bench::kUser, opt);
     const double t0 = sim.now();
-    bool ok = false, done = false;
-    job.start([&](const Status& st) {
-      ok = st.ok();
-      done = true;
-    });
-    sim.run();
-    MGFS_ASSERT(done, "fed read never completed");
+    const Status st =
+        bench::await(sim, &job, &workload::SequentialReader::start);
     if (rate != nullptr) {
       *rate = static_cast<double>(job.bytes_read()) / (sim.now() - t0) / 1e6;
     }
     fed->unmount(*mres);
-    return ok;
+    return st.ok();
   };
 
   std::cout << "\n  site pair            no replicas   2-copy   2-copy, "

@@ -11,7 +11,6 @@
 // then destroys a primary tape volume and repairs from the mirror.
 #include <iomanip>
 #include <iostream>
-#include <optional>
 
 #include "bench_util.hpp"
 #include "hsm/hsm.hpp"
@@ -40,26 +39,22 @@ int main() {
   // disk), running the policy whenever the high water mark trips.
   std::cout << std::fixed << std::setprecision(2);
   const Bytes kDump = 250 * GB;
+  auto run_policy = [&] {
+    bench::must(bench::await(sim, &hsm, &hsm::HsmManager::run_policy),
+                "policy failed");
+  };
   std::size_t ingested = 0;
   for (std::size_t i = 0; i < 48; ++i) {
     const std::string name = "/enzo/dump" + std::to_string(i);
     Status st = hsm.ingest(name, kDump);
     if (!st.ok()) {
-      std::optional<Status> pol;
-      hsm.run_policy([&](const Status& s) { pol = s; });
-      sim.run();
-      MGFS_ASSERT(pol.has_value() && pol->ok(), "policy failed");
+      run_policy();
       st = hsm.ingest(name, kDump);
     }
     MGFS_ASSERT(st.ok(), "ingest failed after policy");
     ++ingested;
     sim.run_until(sim.now() + 600);  // ten minutes between dumps
-    if (hsm.fill_fraction() > 0.90) {
-      std::optional<Status> pol;
-      hsm.run_policy([&](const Status& s) { pol = s; });
-      sim.run();
-      MGFS_ASSERT(pol.has_value() && pol->ok(), "policy failed");
-    }
+    if (hsm.fill_fraction() > 0.90) run_policy();
   }
   std::cout << "\n  ingested " << ingested << " dumps ("
             << ingested * kDump / 1e12 << " TB offered into "
@@ -75,15 +70,9 @@ int main() {
   for (std::size_t i = 0; i < 12; ++i) {
     const std::string name = "/enzo/dump" + std::to_string(i * 3);
     if (!hsm.resident(name)) ++recall_hits;
-    std::optional<Status> got;
-    hsm.ensure_online(name, [&](const Status& s) { got = s; });
-    sim.run();
-    MGFS_ASSERT(got.has_value() && got->ok(), "recall failed");
-    if (hsm.fill_fraction() > 0.90) {
-      std::optional<Status> pol;
-      hsm.run_policy([&](const Status& s) { pol = s; });
-      sim.run();
-    }
+    bench::must(bench::await(sim, &hsm, &hsm::HsmManager::ensure_online, name),
+                "recall failed");
+    if (hsm.fill_fraction() > 0.90) run_policy();
   }
   std::cout << "\n  accessed 12 old dumps: " << recall_hits
             << " required tape recalls (" << hsm.recalls()
@@ -102,17 +91,10 @@ int main() {
   for (std::size_t i = 0; i < 6; ++i) {
     const std::string name = "/enzo/dump" + std::to_string(i);
     if (hsm.resident(name)) continue;
-    std::optional<Status> got;
-    hsm.ensure_online(name, [&](const Status& s) { got = s; });
-    sim.run();
-    MGFS_ASSERT(got.has_value() && got->ok(),
+    bench::must(bench::await(sim, &hsm, &hsm::HsmManager::ensure_online, name),
                 "mirror recovery failed");
     ++repaired;
-    if (hsm.fill_fraction() > 0.90) {
-      std::optional<Status> pol;
-      hsm.run_policy([&](const Status& s) { pol = s; });
-      sim.run();
-    }
+    if (hsm.fill_fraction() > 0.90) run_policy();
   }
   std::cout << "\n  destroyed primary volumes 0-1; " << repaired
             << " dumps recalled anyway, " << hsm.mirror_recalls()

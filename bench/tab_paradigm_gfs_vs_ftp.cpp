@@ -15,7 +15,6 @@
 //   3. direct GFS reads through a multi-cluster remote mount
 #include <iomanip>
 #include <iostream>
-#include <optional>
 
 #include "bench_util.hpp"
 #include "gridftp/gridftp.hpp"
@@ -68,14 +67,13 @@ int main() {
   fcfg.tcp.window = 1 * MiB;
   fcfg.tcp.chunk = 256 * KiB;
   gridftp::GridFtpClient ftp(net, tg.ncsa.hosts[0], fcfg);
-  std::optional<Result<gridftp::TransferStats>> stage;
   double t0 = sim.now();
-  ftp.get(ftp_server, "/nvo.dat", &ncsa_store,
-          [&](Result<gridftp::TransferStats> r) { stage = std::move(r); });
-  sim.run();
-  MGFS_ASSERT(stage.has_value() && stage->ok(), "staging failed");
+  const Bytes stage_bytes =
+      bench::must(bench::await(sim, &ftp, &gridftp::GridFtpClient::get,
+                               ftp_server, "/nvo.dat", &ncsa_store),
+                  "staging failed")
+          .bytes;
   const double stage_time = sim.now() - t0;
-  const Bytes stage_bytes = (*stage)->bytes;
 
   // ---- 2. partial GridFTP gets ------------------------------------------
   // Same query ranges the GFS run will use (same RNG seed).
@@ -122,11 +120,10 @@ int main() {
   ncfg2.queue_depth = 8;
   ncfg2.seed = 99;
   workload::NvoQueryStream nvo(clients[0], "/nvo.dat", bench::kUser, ncfg2);
-  std::optional<Result<workload::NvoStats>> gfs;
   t0 = sim.now();
-  nvo.run([&](Result<workload::NvoStats> r) { gfs = std::move(r); });
-  sim.run();
-  MGFS_ASSERT(gfs.has_value() && gfs->ok(), "gfs queries failed");
+  const workload::NvoStats gfs = bench::must(
+      bench::await(sim, &nvo, &workload::NvoQueryStream::run),
+      "gfs queries failed");
   const double gfs_time = sim.now() - t0;
 
   // ---- results -------------------------------------------------------------
@@ -140,11 +137,11 @@ int main() {
   };
   row("GridFTP wholesale staging", stage_bytes, stage_time, kDataset);
   row("GridFTP partial gets", partial_bytes, partial_time, 0);
-  row("GFS direct remote reads", (*gfs)->bytes_touched, gfs_time, 0);
+  row("GFS direct remote reads", gfs.bytes_touched, gfs_time, 0);
 
   std::cout << "\nSummary (paper §1/§8):\n";
   std::cout << "  wholesale staging moves " << std::setprecision(0)
-            << static_cast<double>(stage_bytes) / (*gfs)->bytes_touched
+            << static_cast<double>(stage_bytes) / gfs.bytes_touched
             << "x the bytes the analysis touches and is "
             << stage_time / gfs_time
             << "x slower end-to-end — and needs a full dataset copy on "
