@@ -258,17 +258,8 @@ Client::ServerLookup Cluster::make_server_lookup() {
 std::uint64_t Cluster::register_client(FileSystem& fs, Client* client,
                                        AccessMode access,
                                        const std::string& via_cluster) {
-  registry_[client->id()] = MountRecord{client, access, via_cluster, &fs};
-  return fs.op_client_register(client->id());
-}
-
-std::uint64_t Cluster::readmit(FileSystem& fs, Client* client,
-                               AccessMode access,
-                               const std::string& via_cluster) {
-  if (registry_.count(client->id()) == 0) {
-    registry_[client->id()] =
-        MountRecord{client, access, via_cluster, &fs};
-  }
+  registry_.try_emplace(client->id(),
+                        MountRecord{client, access, via_cluster, &fs});
   return fs.op_client_register(client->id());
 }
 
@@ -291,7 +282,7 @@ Client::RejoinFn Cluster::make_rejoin(Cluster* exporter, FileSystem* fs,
             reply(64, err(Errc::unavailable, "manager takeover in progress"));
             return;
           }
-          reply(64, exporter->readmit(*fs, c, access, via));
+          reply(64, exporter->register_client(*fs, c, access, via));
         },
         std::move(done), opts);
   };
@@ -308,15 +299,23 @@ Result<Client*> Cluster::mount(const std::string& fsname,
                                          cfg_.client, rng_.split());
   Client* ptr = client.get();
   clients_.push_back(std::move(client));
-  const std::uint64_t epoch =
-      register_client(*fs, ptr, AccessMode::read_write, "");
-  ptr->bind(fs, AccessMode::read_write, 0.0, make_server_lookup());
-  ptr->set_lease(epoch, fs->config().lease_duration);
-  ptr->set_rejoin(make_rejoin(this, fs, ptr, AccessMode::read_write, ""));
-  ptr->set_manager_watch([this, fs, id = ptr->id()](std::uint32_t shard) {
-    note_manager_unreachable(fs, shard, id);
-  });
+  wire_mount(ptr, this, fs, AccessMode::read_write, 0.0,
+             register_client(*fs, ptr, AccessMode::read_write, ""));
   return ptr;
+}
+
+void Cluster::wire_mount(Client* c, Cluster* exporter, FileSystem* fs,
+                         AccessMode access, double cipher_s_per_byte,
+                         std::uint64_t epoch) {
+  c->bind(fs, access, cipher_s_per_byte, exporter->make_server_lookup());
+  c->set_lease(epoch, fs->config().lease_duration);
+  c->set_rejoin(make_rejoin(exporter, fs, c, access,
+                            exporter == this ? "" : cfg_.name));
+  // Manager failover is the exporting cluster's business: it owns the
+  // file system and the membership list.
+  c->set_manager_watch([exporter, fs, id = c->id()](std::uint32_t shard) {
+    exporter->note_manager_unreachable(fs, shard, id);
+  });
 }
 
 void Cluster::on_node_restart(net::NodeId node) {
@@ -344,9 +343,8 @@ void Cluster::restart_incarnation(Client* c) {
   rec.fs->expel_client(c->id(), "node restart");
   registry_.erase(c->id());
   c->crash_reset();
-  registry_[c->id()] = rec;
-  const std::uint64_t epoch = rec.fs->op_client_register(c->id());
-  c->set_lease(epoch, rec.fs->config().lease_duration);
+  c->set_lease(register_client(*rec.fs, c, rec.access, rec.via_cluster),
+               rec.fs->config().lease_duration);
 }
 
 void Cluster::unmount(Client* client) {
@@ -604,17 +602,8 @@ void Cluster::mount_remote(const std::string& local_device,
                 done(g.error());
                 return;
               }
-              cptr->bind(g->fs, g->access, g->cipher_s_per_byte,
-                         exporter->make_server_lookup());
-              cptr->set_lease(g->epoch, g->fs->config().lease_duration);
-              cptr->set_rejoin(make_rejoin(exporter, g->fs, cptr, g->access,
-                                           cfg_.name));
-              // Manager failover is the exporting cluster's business: it
-              // owns the file system and the membership list.
-              cptr->set_manager_watch(
-                  [exporter, fs = g->fs, id = cptr->id()](std::uint32_t s) {
-                    exporter->note_manager_unreachable(fs, s, id);
-                  });
+              wire_mount(cptr, exporter, g->fs, g->access,
+                         g->cipher_s_per_byte, g->epoch);
               clients_.push_back(std::move(*client));
               remote_owner_[cptr] = exporter;
               ++handshakes_;

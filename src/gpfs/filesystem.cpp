@@ -958,39 +958,16 @@ FsckReport FileSystem::fsck() const {
   return rep;
 }
 
-std::uint64_t FileSystem::manager_takeovers() const {
+std::uint64_t FileSystem::shard_sum(
+    std::uint64_t MetaShard::*counter) const {
   std::uint64_t n = 0;
-  for (const MetaShard& sh : shards_) n += sh.takeovers;
+  for (const MetaShard& sh : shards_) n += sh.*counter;
   return n;
 }
 
 std::uint64_t FileSystem::shard_takeovers(std::uint32_t shard) const {
   MGFS_ASSERT(shard < shards_.size(), "bad shard");
   return shards_[shard].takeovers;
-}
-
-std::uint64_t FileSystem::assertions_rebuilt() const {
-  std::uint64_t n = 0;
-  for (const MetaShard& sh : shards_) n += sh.assertions_rebuilt;
-  return n;
-}
-
-std::uint64_t FileSystem::stale_manager_fenced() const {
-  std::uint64_t n = 0;
-  for (const MetaShard& sh : shards_) n += sh.stale_mgr_fenced;
-  return n;
-}
-
-std::uint64_t FileSystem::rebuild_rpcs() const {
-  std::uint64_t n = 0;
-  for (const MetaShard& sh : shards_) n += sh.rebuild_rpcs;
-  return n;
-}
-
-std::uint64_t FileSystem::overlap_writes_admitted() const {
-  std::uint64_t n = 0;
-  for (const MetaShard& sh : shards_) n += sh.overlap_admits;
-  return n;
 }
 
 std::string FileSystem::stats() const {

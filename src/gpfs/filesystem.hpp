@@ -235,12 +235,18 @@ class FileSystem {
   /// the lease sweep that was held off during the rebuild.
   void finish_takeover(std::uint32_t shard = 0);
   /// Takeovers across all shards.
-  std::uint64_t manager_takeovers() const;
+  std::uint64_t manager_takeovers() const {
+    return shard_sum(&MetaShard::takeovers);
+  }
   std::uint64_t shard_takeovers(std::uint32_t shard) const;
   /// Simulated time the last takeover's rebuild finished; < 0 if never.
   double last_takeover_at() const { return last_takeover_at_; }
-  std::uint64_t assertions_rebuilt() const;
-  std::uint64_t stale_manager_fenced() const;
+  std::uint64_t assertions_rebuilt() const {
+    return shard_sum(&MetaShard::assertions_rebuilt);
+  }
+  std::uint64_t stale_manager_fenced() const {
+    return shard_sum(&MetaShard::stale_mgr_fenced);
+  }
 
   // --- recovery-latency accounting (DESIGN.md §6, latency budget) -------
   /// Count one per-client reassertion RPC issued by a takeover rebuild
@@ -249,10 +255,14 @@ class FileSystem {
   void note_rebuild_rpc(std::uint32_t shard = 0) {
     ++shards_[shard].rebuild_rpcs;
   }
-  std::uint64_t rebuild_rpcs() const;
+  std::uint64_t rebuild_rpcs() const {
+    return shard_sum(&MetaShard::rebuild_rpcs);
+  }
   /// Writes admitted through the NSD gate *during* a takeover rebuild
   /// because their sender had already reasserted (the overlap window).
-  std::uint64_t overlap_writes_admitted() const;
+  std::uint64_t overlap_writes_admitted() const {
+    return shard_sum(&MetaShard::overlap_admits);
+  }
   /// Suspects expelled early on probe-quorum confirmation instead of
   /// waiting out duration + recovery_wait.
   std::uint64_t early_expels() const { return lease_.confirms(); }
@@ -384,6 +394,9 @@ class FileSystem {
     /// serialization point the shard_sweep bench scales against.
     std::unique_ptr<sim::SerialResource> cpu;
   };
+
+  /// One per-shard counter summed over every shard.
+  std::uint64_t shard_sum(std::uint64_t MetaShard::*counter) const;
 
   void token_retry(ClientId client, InodeNum ino, TokenRange range,
                    TokenRange desired, LockMode mode, int attempts,

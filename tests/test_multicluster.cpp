@@ -246,6 +246,49 @@ TEST_F(GridFixture, EncryptCipherSlowsDataPath) {
   EXPECT_GT(enc, plain + 0.004);
 }
 
+// A remote-mounted client that is expelled rejoins through the exporting
+// cluster, and one whose node restarts is re-registered there; both
+// times it keeps the read-only grant it was mounted under.
+TEST_F(GridFixture, RemoteClientRejoinsThroughExporterUnderItsGrant) {
+  build();
+  establish_trust(auth::AccessMode::read_only);
+  seed("/data", 4 * MiB);
+  auto c = mount_remote();
+  ASSERT_TRUE(c.ok());
+  Client* client = *c;
+  EXPECT_EQ(sdsc->access_of_client(client->id()), AccessMode::read_only);
+  const std::uint64_t mounted_epoch = client->lease_epoch();
+
+  // Expel: the MountRecord goes, the next op surfaces stale, and the
+  // client rejoins via sdsc under a fresh epoch.
+  fs->expel_client(client->id(), "test: expel remote client");
+  EXPECT_EQ(sdsc->access_of_client(client->id()), AccessMode::none);
+  auto stale = open(client, "/data", OpenFlags::ro());
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.code(), Errc::stale);
+  const std::uint64_t rejoined_epoch = client->lease_epoch();
+  EXPECT_GT(rejoined_epoch, mounted_epoch);
+  EXPECT_EQ(sdsc->access_of_client(client->id()), AccessMode::read_only);
+  auto ro = open(client, "/data", OpenFlags::ro());
+  ASSERT_TRUE(ro.ok()) << ro.error().to_string();
+  EXPECT_EQ(open(client, "/fromncsa", OpenFlags::create_rw()).code(),
+            Errc::read_only);
+
+  // Node restart: ncsa hands the client to its exporter, which expels
+  // the old incarnation and re-registers it under the same grant.
+  const std::uint64_t expels_before = fs->expels();
+  ncsa->on_node_restart(client->node());
+  sim.run();
+  EXPECT_EQ(fs->expels(), expels_before + 1);
+  EXPECT_GT(client->lease_epoch(), rejoined_epoch);
+  EXPECT_EQ(sdsc->access_of_client(client->id()), AccessMode::read_only);
+  auto after = open(client, "/data", OpenFlags::ro());
+  ASSERT_TRUE(after.ok()) << after.error().to_string();
+  EXPECT_TRUE(read(client, *after, 0, 4 * MiB).ok());
+  EXPECT_EQ(open(client, "/fromncsa", OpenFlags::create_rw()).code(),
+            Errc::read_only);
+}
+
 TEST_F(GridFixture, WholeFileTokenMakesRemoteStreamingCheap) {
   build();
   establish_trust(auth::AccessMode::read_only);
