@@ -1,6 +1,6 @@
 # The deterministic benches, chaos drills and examples that the golden
-# gate diffs (ci/golden.sh) and the wall-clock ledger times (ci/wall.sh).
-# Sourced, not run.
+# gate diffs (ci/golden.sh) and the wall-clock ledger times (ci/wall.sh);
+# ci/sanitize.sh runs every drill under ASan/UBSan. Sourced, not run.
 #
 # micro_core and scale_sweep are left out: they print wall-clock numbers
 # that differ from run to run.

@@ -3,8 +3,9 @@
 # chaos drills and the examples, and diff each one's stdout+stderr (plus
 # its exit status) against the committed copy under golden/. Any
 # difference fails the gate. The default chaos soak's JSON is also
-# diffed against the committed BENCH_chaos.json. The list of what runs
-# is in ci/bench_list.sh.
+# diffed against the committed BENCH_chaos.json, and the site_outage
+# drill's JSON against golden/chaos_soak.site_outage.json. The list of
+# what runs is in ci/bench_list.sh.
 #
 # Usage: ci/golden.sh [--update] [build-dir]   (default: build-golden)
 #   --update  rewrite golden/ (and BENCH_chaos.json) from this tree's
@@ -56,21 +57,24 @@ done
 for e in "${examples[@]}"; do
   spawn "example.$e" "$build_dir/examples/$e"
 done
-# The soak prints the JSON path it wrote, so this run stays out of the
-# text goldens; only the JSON it writes is compared.
+# These runs print the JSON path they wrote, so they stay out of the
+# text goldens; only the JSON they write is compared.
 spawn chaos_soak.json "$build_dir/bench/chaos_soak" \
   --json "$out_dir/BENCH_chaos.json"
+spawn chaos_soak.site_outage.json "$build_dir/bench/chaos_soak" \
+  --scenario site_outage --json "$out_dir/chaos_soak.site_outage.json"
 wait
-rm -f "$out_dir/chaos_soak.json.txt"
+rm -f "$out_dir/chaos_soak.json.txt" "$out_dir/chaos_soak.site_outage.json.txt"
 
 if (( update )); then
   # Only the .txt outputs are this script's; other goldens (the
   # perfbench digests of ci/sim_digest.sh) stay.
   mkdir -p "$golden_dir"
   rm -f "$golden_dir"/*.txt
-  cp "$out_dir"/*.txt "$golden_dir/"
+  cp "$out_dir"/*.txt "$out_dir/chaos_soak.site_outage.json" "$golden_dir/"
   cp "$out_dir/BENCH_chaos.json" "$repo_root/BENCH_chaos.json"
-  echo "golden: wrote $(ls "$golden_dir"/*.txt | wc -l) files to $golden_dir"
+  echo "golden: wrote $(ls "$golden_dir"/*.txt | wc -l) files and the" \
+    "JSON goldens to $golden_dir"
   exit 0
 fi
 
@@ -95,5 +99,11 @@ if ! diff -u "$repo_root/BENCH_chaos.json" "$out_dir/BENCH_chaos.json"; then
   echo "golden: FAIL — BENCH_chaos.json differs" >&2
   fail=1
 fi
+if ! diff -u "$golden_dir/chaos_soak.site_outage.json" \
+    "$out_dir/chaos_soak.site_outage.json"; then
+  echo "golden: FAIL — chaos_soak.site_outage.json differs" >&2
+  fail=1
+fi
 if (( fail )); then exit 1; fi
-echo "golden: $(ls "$out_dir"/*.txt | wc -l) outputs and BENCH_chaos.json match"
+echo "golden: $(ls "$out_dir"/*.txt | wc -l) outputs, BENCH_chaos.json and" \
+  "chaos_soak.site_outage.json match"
