@@ -9,7 +9,7 @@
 namespace mgfs {
 
 Histogram::Histogram(double bin_width, std::size_t bin_count, std::string name)
-    : bin_width_(bin_width), name_(std::move(name)), bins_(bin_count, 0) {
+    : bin_width_(bin_width), bin_count_(bin_count), name_(std::move(name)) {
   MGFS_ASSERT(bin_width > 0 && bin_count > 0, "bad histogram shape");
 }
 
@@ -23,16 +23,16 @@ void Histogram::add(double v) {
     return;
   }
   const auto idx = static_cast<std::size_t>(v / bin_width_);
-  if (idx >= bins_.size()) {
+  if (idx >= bin_count_) {
     ++overflow_;
-  } else {
-    ++bins_[idx];
+    return;
   }
+  if (bins_.empty()) bins_.resize(bin_count_);
+  ++bins_[idx];
 }
 
 void Histogram::merge(const Histogram& other) {
-  MGFS_ASSERT(bin_width_ == other.bin_width_ &&
-                  bins_.size() == other.bins_.size(),
+  MGFS_ASSERT(bin_width_ == other.bin_width_ && bin_count_ == other.bin_count_,
               "histogram merge shape mismatch");
   if (other.count_ == 0) return;
   if (count_ == 0 || other.min_ < min_) min_ = other.min_;
@@ -40,7 +40,12 @@ void Histogram::merge(const Histogram& other) {
   count_ += other.count_;
   sum_ += other.sum_;
   overflow_ += other.overflow_;
-  for (std::size_t i = 0; i < bins_.size(); ++i) bins_[i] += other.bins_[i];
+  if (other.bins_.empty()) return;
+  if (bins_.empty()) {
+    bins_ = other.bins_;
+    return;
+  }
+  for (std::size_t i = 0; i < bin_count_; ++i) bins_[i] += other.bins_[i];
 }
 
 double Histogram::mean() const {

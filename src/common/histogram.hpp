@@ -1,6 +1,8 @@
 // Latency histogram with fixed-width bins plus summary statistics.
-// Used for HSM recall latency, auth handshake latency, and token
-// round-trip distributions.
+// Used for HSM recall latency and Client::recovery_op_latency, which
+// chaos_soak merges across clients. The bins are allocated on the first
+// in-range value, so a histogram that never records one (most clients'
+// recovery histogram outside fault drills) costs no bin storage.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +37,9 @@ class Histogram {
 
  private:
   double bin_width_;
+  std::size_t bin_count_;
   std::string name_;
-  std::vector<std::uint64_t> bins_;
+  std::vector<std::uint64_t> bins_;  // empty until a value lands in range
   std::uint64_t overflow_ = 0;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;

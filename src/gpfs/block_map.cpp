@@ -52,6 +52,17 @@ void BlockMapCache::install(InodeNum ino, const BlockMapChunk& chunk) {
     Chunk& c = f.chunks[first / kChunk];
     const std::size_t end =
         std::min<std::size_t>(n, i + (kChunk - first % kChunk));
+    // Grow the chunk once for this run, to its last entry that has an
+    // address; holes and blocks past EOF need none.
+    std::size_t last = end;
+    while (last > i && !chunk.addrs[last - 1].has_value()) --last;
+    if (last > i) {
+      const std::size_t need = (chunk.first_block + last - 1) % kChunk + 1;
+      if (need > c.primary.size()) {
+        c.primary.reserve(need);  // exact: resize alone may round up
+        c.primary.resize(need);
+      }
+    }
     for (; i < end; ++i) {
       const std::uint64_t bi = chunk.first_block + i;
       const std::uint64_t slot = bi % kChunk;

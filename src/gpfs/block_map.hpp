@@ -3,14 +3,16 @@
 // A client learns block addresses from the manager in chunks (one
 // op_block_map or op_allocate reply) and caches them so the data path
 // reaches NSD servers without a metadata round trip per block. The
-// cache mirrors how the manager itself splits block data: a dense
-// primary address per block, and a sparse side table holding the full
+// cache mirrors how the manager itself splits block data: a primary
+// address per block, and a sparse side table holding the full
 // BlockPlacement only for blocks with more than one copy or a copy
-// marked divergent. So a client's memory follows the 64-block chunks it
-// has touched (about 1 KiB each) plus the replicated blocks it maps.
+// marked divergent. A chunk stores addresses only up to its highest
+// mapped block, so a client's memory follows what it has mapped: about
+// 70 B per 64-block chunk touched, 16 B per block up to that chunk's
+// highest mapped one (a 1-block file's chunk ~100 B, a full one
+// ~1.1 KiB), and about 90 B per replicated block.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -65,7 +67,10 @@ class BlockMapCache {
   struct Chunk {
     std::uint64_t known = 0;   // bit i: block i of the chunk is cached
     std::uint64_t mapped = 0;  // bit i: ... and has an address
-    std::array<BlockAddr, kChunkBlocks> primary{};
+    // primary[i] is block i's address, read only while bit i of
+    // `mapped` is set. Sized to the highest slot ever mapped, so a
+    // chunk of a 1-block file holds one address, not 64.
+    std::vector<BlockAddr> primary;
   };
   struct File {
     std::unordered_map<std::uint64_t, Chunk> chunks;  // by block / 64

@@ -599,6 +599,9 @@ void Cluster::mount_remote(const std::string& local_device,
             [this, client, cptr, exporter,
              done = std::move(done)](Result<MountGrant> g) mutable {
               if (!g.ok()) {
+                // The handler may have registered the client before its
+                // reply was lost; the Client dies with this callback.
+                exporter->deregister_client(cptr->id());
                 done(g.error());
                 return;
               }

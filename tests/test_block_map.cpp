@@ -2,10 +2,12 @@
 //
 // The unit tests pin the cases the data path relies on (unaligned
 // allocate-ahead installs, holes past EOF, revoke drops, replica
-// placements). The property test runs random install / drop / mark
-// sequences against a per-block std::map reference with the semantics
-// of a plain map of optional placements, and checks every lookup and
-// coverage query after each step.
+// placements, chunks that grow as higher blocks are mapped). The
+// property tests run random install / drop / mark sequences against a
+// per-block std::map reference with the semantics of a plain map of
+// optional placements, and check every lookup and coverage query after
+// each step; the hole-heavy variant mostly installs holes and
+// past-EOF tails, so chunks start small and grow.
 #include "gpfs/block_map.hpp"
 
 #include <gtest/gtest.h>
@@ -148,6 +150,72 @@ TEST(BlockMapCache, DivergentMarkSurvivesLookup) {
   EXPECT_FALSE(m.lookup(kIno, 100).known());
 }
 
+TEST(BlockMapCache, OneBlockReplyMapsSlotZeroOnly) {
+  BlockMapCache m;
+  // op_block_map always answers 64 entries; a 1-block file maps one.
+  m.install(kIno, single_chunk(0, 64, /*eof=*/1));
+  EXPECT_EQ(m.lookup(kIno, 0).placement, BlockPlacement::single(addr_of(0)));
+  for (std::uint64_t bi = 1; bi < 64; ++bi) {
+    EXPECT_EQ(m.lookup(kIno, bi).state, MapLookup::State::hole) << bi;
+  }
+  EXPECT_TRUE(m.covers(kIno, 0, 64));
+  EXPECT_FALSE(m.covers(kIno, 0, 65));
+}
+
+TEST(BlockMapCache, MappingAHigherSlotGrowsTheChunk) {
+  BlockMapCache m;
+  m.install(kIno, single_chunk(0, 64, /*eof=*/1));
+  m.install(kIno, single_chunk(63, 1));
+  EXPECT_EQ(m.lookup(kIno, 0).placement, BlockPlacement::single(addr_of(0)));
+  EXPECT_EQ(m.lookup(kIno, 63).placement,
+            BlockPlacement::single(addr_of(63)));
+  for (std::uint64_t bi = 1; bi < 63; ++bi) {
+    EXPECT_EQ(m.lookup(kIno, bi).state, MapLookup::State::hole) << bi;
+  }
+  // A reply whose only address is below the chunk's size leaves the
+  // rest of the chunk alone.
+  m.install(kIno, single_chunk(10, 1));
+  EXPECT_TRUE(m.lookup(kIno, 10).mapped());
+  EXPECT_EQ(m.lookup(kIno, 63).placement,
+            BlockPlacement::single(addr_of(63)));
+}
+
+TEST(BlockMapCache, DropThenReinstallHigherSlot) {
+  BlockMapCache m;
+  m.install(kIno, single_chunk(0, 64, /*eof=*/2));
+  m.drop(kIno, 0, ~0ULL);
+  EXPECT_FALSE(m.lookup(kIno, 0).known());
+  m.install(kIno, single_chunk(40, 24, /*eof=*/41));
+  EXPECT_FALSE(m.lookup(kIno, 0).known());
+  EXPECT_EQ(m.lookup(kIno, 40).placement,
+            BlockPlacement::single(addr_of(40)));
+  EXPECT_EQ(m.lookup(kIno, 41).state, MapLookup::State::hole);
+  // Dropping part of the chunk keeps the rest, and a reinstall below
+  // the kept slot does not disturb it.
+  m.install(kIno, single_chunk(0, 2));
+  m.drop(kIno, 0, 1);
+  EXPECT_FALSE(m.lookup(kIno, 0).known());
+  EXPECT_TRUE(m.lookup(kIno, 1).mapped());
+  m.install(kIno, single_chunk(0, 1));
+  EXPECT_EQ(m.lookup(kIno, 0).placement, BlockPlacement::single(addr_of(0)));
+  EXPECT_EQ(m.lookup(kIno, 40).placement,
+            BlockPlacement::single(addr_of(40)));
+}
+
+TEST(BlockMapCache, MarkDivergentOnHoleIsNoOp) {
+  BlockMapCache m;
+  m.install(kIno, single_chunk(0, 64, /*eof=*/1));
+  m.mark_divergent(kIno, 1, 0);
+  m.mark_divergent(kIno, 63, 0);
+  EXPECT_EQ(m.lookup(kIno, 1).state, MapLookup::State::hole);
+  EXPECT_EQ(m.lookup(kIno, 63).state, MapLookup::State::hole);
+  // A block mapped afterwards starts clean.
+  m.install(kIno, single_chunk(63, 1));
+  EXPECT_EQ(m.lookup(kIno, 63).placement,
+            BlockPlacement::single(addr_of(63)));
+  EXPECT_EQ(m.lookup(kIno, 0).placement, BlockPlacement::single(addr_of(0)));
+}
+
 TEST(BlockMapCache, ClearForgetsEverything) {
   BlockMapCache m;
   m.install(kIno, single_chunk(0, 64, 10));
@@ -163,11 +231,11 @@ TEST(BlockMapCache, ClearForgetsEverything) {
 using Reference =
     std::map<InodeNum, std::map<std::uint64_t, std::optional<BlockPlacement>>>;
 
-class BlockMapCacheProperty : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(BlockMapCacheProperty, AgreesWithPerBlockReference) {
-  Rng rng(GetParam());
+/// Random steps against the reference. With `hole_heavy`, most
+/// installed entries are holes and many replies end in a run of
+/// past-EOF holes, so chunks are installed sparse and grow later.
+void check_against_reference(std::uint64_t seed, bool hole_heavy) {
+  Rng rng(seed);
   BlockMapCache m;
   Reference ref;
   constexpr std::uint64_t kSpan = 300;  // blocks exercised per inode
@@ -181,9 +249,11 @@ TEST_P(BlockMapCacheProperty, AgreesWithPerBlockReference) {
       const std::uint64_t n = 1 + rng.below(std::min<std::uint64_t>(
                                       130, kSpan - c.first_block));
       const bool rep = rng.chance(0.4);
+      const std::uint64_t eof =
+          hole_heavy ? c.first_block + rng.below(n + 1) : ~0ULL;
       for (std::uint64_t i = 0; i < n; ++i) {
         const std::uint64_t bi = c.first_block + i;
-        if (rng.chance(0.2)) {
+        if (bi >= eof || rng.chance(hole_heavy ? 0.8 : 0.2)) {
           c.addrs.emplace_back(std::nullopt);
           if (rep) c.placements.push_back(BlockPlacement{});
           r[bi] = std::nullopt;
@@ -256,6 +326,17 @@ TEST_P(BlockMapCacheProperty, AgreesWithPerBlockReference) {
       }
     }
   }
+}
+
+class BlockMapCacheProperty : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(BlockMapCacheProperty, AgreesWithPerBlockReference) {
+  check_against_reference(GetParam(), /*hole_heavy=*/false);
+}
+
+TEST_P(BlockMapCacheProperty, HoleHeavyAgreesWithPerBlockReference) {
+  check_against_reference(GetParam(), /*hole_heavy=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BlockMapCacheProperty,

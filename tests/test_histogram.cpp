@@ -76,5 +76,62 @@ TEST(Histogram, PrintSummaryLine) {
   EXPECT_NE(os.str().find("n=1"), std::string::npos);
 }
 
+TEST(Histogram, MergeWithNeverAddedHistogram) {
+  Histogram full(1.0, 10);
+  full.add(2.5);
+  full.add(7.5);
+  // A histogram that never saw a value contributes nothing ...
+  full.merge(Histogram(1.0, 10));
+  EXPECT_EQ(full.count(), 2u);
+  EXPECT_DOUBLE_EQ(full.quantile(0.0), 2.5);
+  EXPECT_DOUBLE_EQ(full.quantile(1.0), 7.5);
+  // ... and one that never saw a value takes all of the other's.
+  Histogram fresh(1.0, 10);
+  fresh.merge(full);
+  EXPECT_EQ(fresh.count(), 2u);
+  EXPECT_DOUBLE_EQ(fresh.min(), 2.5);
+  EXPECT_DOUBLE_EQ(fresh.max(), 7.5);
+  EXPECT_DOUBLE_EQ(fresh.mean(), 5.0);
+  for (double q : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+    EXPECT_DOUBLE_EQ(fresh.quantile(q), full.quantile(q)) << q;
+  }
+  // Later values add to the merged bins.
+  fresh.add(2.5);
+  fresh.add(2.5);
+  EXPECT_DOUBLE_EQ(fresh.quantile(0.5), 2.5);
+}
+
+TEST(Histogram, OverflowOnlyQuantileIsMax) {
+  Histogram h(1.0, 4);
+  h.add(9.0);
+  h.add(12.0);
+  EXPECT_EQ(h.overflow(), 2u);
+  EXPECT_DOUBLE_EQ(h.quantile(0.0), 12.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 12.0);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 12.0);
+  // Merged into an empty one, it is still overflow only.
+  Histogram m(1.0, 4);
+  m.merge(h);
+  EXPECT_EQ(m.overflow(), 2u);
+  EXPECT_DOUBLE_EQ(m.quantile(0.5), 12.0);
+}
+
+TEST(Histogram, PrintEmpty) {
+  Histogram h(0.01, 2000, "recovery_ops");
+  std::ostringstream os;
+  h.print(os, "s");
+  EXPECT_EQ(os.str(),
+            "recovery_ops: n=0 mean=0.000s p50=0.000s p95=0.000s "
+            "p99=0.000s max=0.000s\n");
+}
+
+TEST(HistogramDeathTest, MergeGeometryMismatchAsserts) {
+  // Bin storage is not allocated yet on either side; the geometry check
+  // must not depend on it.
+  Histogram a(1.0, 10);
+  EXPECT_DEATH(a.merge(Histogram(1.0, 20)), "shape mismatch");
+  EXPECT_DEATH(a.merge(Histogram(2.0, 10)), "shape mismatch");
+}
+
 }  // namespace
 }  // namespace mgfs

@@ -289,6 +289,30 @@ TEST_F(GridFixture, RemoteClientRejoinsThroughExporterUnderItsGrant) {
             Errc::read_only);
 }
 
+// The exporter registers the client while serving phase 2. If the
+// grant reply then never reaches the importer, the mount fails and the
+// importer frees its Client, so the exporter must forget it too: a
+// later manager takeover walks the registry.
+TEST_F(GridFixture, FailedGrantReplyLeavesNoRegistration) {
+  build();
+  establish_trust(auth::AccessMode::read_write);
+  const net::NodeId host = tg.ncsa.hosts[2];
+  std::optional<Result<Client*>> out;
+  ncsa->mount_remote("/gpfs-wan", host,
+                     [&](Result<Client*> r) { out = std::move(r); });
+  while (sdsc->mounted_clients() == 0 && sim.step()) {
+  }
+  ASSERT_EQ(sdsc->mounted_clients(), 1u);
+  ASSERT_FALSE(out.has_value());
+  net.set_link_up(host, tg.ncsa.sw, false);
+  sim.run();
+  ASSERT_TRUE(out.has_value()) << "mount_remote never completed";
+  EXPECT_FALSE(out->ok());
+  EXPECT_EQ(sdsc->mounted_clients(), 0u);
+  EXPECT_TRUE(sdsc->takeover_manager(*fs));
+  sim.run();
+}
+
 TEST_F(GridFixture, WholeFileTokenMakesRemoteStreamingCheap) {
   build();
   establish_trust(auth::AccessMode::read_only);
