@@ -178,6 +178,62 @@ TEST(FastRecoveryIntegration, OverlapWindowAdmitsReassertedQueuesStraggler) {
             2.0 * fast_cfg().lease_duration);
 }
 
+/// A `gated` write-gate reply is the rebuild pausing the write, not a
+/// failed server: the redrive waits on the probe cadence without
+/// spending the retry budget. With a budget of one attempt, a flush
+/// that took a gated reply must still land, with no retry, failover or
+/// breaker charged against the healthy server.
+TEST(FastRecoveryIntegration, GatedWriteReplyKeepsRetryBudget) {
+  ClusterConfig cfg = fast_cfg();
+  cfg.client.retry.max_attempts = 1;
+  MiniCluster mc(6, 4, 1 * MiB, cfg);
+  Client* writer = mc.mount_on(2);
+  Client* straggler = mc.mount_on(3);
+  ASSERT_NE(writer, nullptr);
+  ASSERT_NE(straggler, nullptr);
+
+  // Committed region: tokens held and blocks allocated, so re-dirtying
+  // it needs no metadata RPC and the flush drives straight at the gate.
+  auto fh = mc.open(writer, "/f", kAlice, OpenFlags::create_rw());
+  ASSERT_TRUE(fh.ok());
+  ASSERT_TRUE(mc.write(writer, *fh, 0, 4 * MiB).ok());
+  ASSERT_TRUE(mc.fsync(writer, *fh).ok());
+
+  // The mute straggler holds the rebuild open for its full query
+  // deadline, so the writer's flush meets the gate mid-rebuild.
+  fault::FaultInjector inject(mc.net, Rng(17));
+  inject.watch_pool(mc.cluster->connection_pool());
+  inject.watch_cluster(*mc.cluster);
+  inject.schedule_blackhole(mc.sim.now(), mc.site.hosts[3], 5.0);
+
+  const std::uint64_t retries_before = writer->rpc_retries();
+  const std::uint64_t failovers_before = writer->nsd_failovers();
+  std::optional<Result<Bytes>> w;
+  std::optional<Status> fs_st;
+  mc.sim.after(0.001, [&] {
+    ASSERT_TRUE(mc.cluster->takeover_manager(*mc.fs));
+    writer->write(*fh, 0, 4 * MiB, [&](Result<Bytes> r) {
+      w = std::move(r);
+      writer->fsync(*fh, [&](Status st) { fs_st = st; });
+    });
+  });
+  mc.sim.run();
+
+  std::uint64_t gated = 0;
+  for (std::size_t h = 0; h < 2; ++h) {
+    gated += mc.cluster->server_on(mc.site.hosts[h])->gated_retries();
+  }
+  EXPECT_GE(gated, 1u);
+  ASSERT_TRUE(w.has_value() && w->ok());
+  ASSERT_TRUE(fs_st.has_value());
+  EXPECT_TRUE(fs_st->ok()) << fs_st->to_string();
+  EXPECT_EQ(writer->rpc_retries(), retries_before);
+  EXPECT_EQ(writer->nsd_failovers(), failovers_before);
+  EXPECT_EQ(writer->breaker_opens(), 0u);
+  EXPECT_EQ(writer->lease_lapses(), 0u);
+  EXPECT_EQ(mc.fs->manager_takeovers(), 1u);
+}
+
 // ---------------------------------------------------------------------
 // Integration: early expel quorum
 // ---------------------------------------------------------------------

@@ -281,6 +281,9 @@ TEST(GpfsClient, ReadFailsWhenBothServersDown) {
   auto rd = mc.read(r, *fr, 0, 4 * MiB);
   ASSERT_FALSE(rd.ok());
   EXPECT_EQ(rd.code(), Errc::unavailable);
+  // The last round found both breakers open and failed without touching
+  // the wire.
+  EXPECT_GT(r->breaker_skips(), 0u);
 }
 
 TEST(GpfsClient, RefreshSizeSeesAppendingWriter) {
