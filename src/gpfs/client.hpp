@@ -17,6 +17,11 @@
 // miss is real simulated network + disk traffic. One Client == one
 // (node, file system, mount session) triple; the same node may hold
 // several Clients for several file systems.
+//
+// The implementation is split along three seams: client.cpp holds the
+// op entry points, the metadata path and the token/block-map caches;
+// client_io.cpp the NSD data path and write-behind; client_recovery.cpp
+// lease lapse/rejoin, crash reset, revokes and manager takeover.
 #pragma once
 
 #include <deque>
@@ -39,8 +44,9 @@
 namespace mgfs::gpfs {
 
 /// The client's tunables. Everything else about the client is fixed:
-/// the pagepool, fill/flush fan-out, map chunking and breaker and
-/// backoff timings are constants in client.cpp and common/retry.hpp.
+/// the pagepool, fill/flush fan-out and breaker and backoff timings are
+/// constants in client.cpp, client_io.cpp and common/retry.hpp; map
+/// chunking is BlockMapCache::kChunkBlocks.
 struct ClientConfig {
   int readahead_blocks = 32;         // adaptive readahead cap (blocks)
   Bytes max_dirty = 64 * MiB;        // write-behind ceiling
@@ -94,7 +100,6 @@ class Client {
   ClientId id() const { return id_; }
   sim::Simulator& simulator() const { return rpc_.pool().network().simulator(); }
   PagePool& pool() { return pool_; }
-  const ClientConfig& config() const { return cfg_; }
   AccessMode access() const { return access_; }
 
   // --- file operations --------------------------------------------------
@@ -213,7 +218,6 @@ class Client {
  private:
   struct OpenFile {
     InodeNum ino = 0;
-    Principal who;
     OpenFlags flags;
     Bytes size = 0;  // client's view; refresh_size() re-fetches
     ReadaheadRamp ra;  // sequential-read prefetch ramp
@@ -250,18 +254,23 @@ class Client {
   // metadata path: manager RPC with deadline + bounded backoff retry.
   // `shard` routes the call to the believed manager of that token
   // domain and serializes the server work behind that shard's manager
-  // CPU. `started_at`/`saw_recovery` thread first-issue time and
+  // CPU. The server op receives the file system and client id captured
+  // when the request was sent (the client may be unbound before it
+  // runs). `started_at`/`saw_recovery` thread first-issue time and
   // whether the op ever saw the recovering gate through the retry
-  // chain, feeding the recovery-op latency histogram.
+  // chain, feeding the recovery-op latency histogram. Defined in
+  // client.cpp only.
   template <typename R>
-  void meta_call(std::uint32_t shard, Bytes req_payload,
-                 Rpc::ServerFn<R> server,
+  using MetaOp = std::function<void(FileSystem&, ClientId, Rpc::ReplyFn<R>)>;
+  template <typename R>
+  void meta_call(std::uint32_t shard, Bytes req_payload, MetaOp<R> server,
                  std::function<void(Result<R>)> done, int attempt = 0,
                  double started_at = -1.0, bool saw_recovery = false);
   /// meta_call for a server op whose answer is a bare Status, carried
   /// in a `reply_payload`-byte reply.
   void meta_status(std::uint32_t shard, Bytes req_payload,
-                   Bytes reply_payload, std::function<Status()> op,
+                   Bytes reply_payload,
+                   std::function<Status(FileSystem&, ClientId)> op,
                    std::function<void(Status)> done);
 
   // data path. Fills and flushes travel as NsdRuns — coalesced wire
@@ -298,6 +307,13 @@ class Client {
   void nsd_run_attempt(NsdRun run, bool write,
                        std::vector<net::NodeId> targets, std::size_t ti,
                        int attempt, RunDone done);
+  /// A round in which no server completed `run`: fail it with `st` once
+  /// the retry budget is spent, else count a retry and re-issue it after
+  /// one backoff — split into single-block runs when a server was
+  /// actually tried (`split`), so one poisoned block cannot hold the
+  /// rest of a coalesced run hostage.
+  void retry_run(NsdRun run, bool write, int attempt, bool split,
+                 Status st, RunDone done);
   /// After `delay`, re-issue every run in `runs` (one timer for all).
   void reissue_runs(sim::Time delay, std::vector<NsdRun> runs, bool write,
                     int attempt, RunDone done);
@@ -320,8 +336,12 @@ class Client {
   void pump_flush();
   /// Fire `done` once the inode has no dirty or in-flight pages.
   void flush_inode(InodeNum ino, sim::Callback done);
-  void unstall_writers();
-  void check_flush_waiters();
+  /// No dirty or in-flight pages for `ino`?
+  bool inode_idle(InodeNum ino) const;
+  /// After flush progress (or discarded dirty state): release writers
+  /// stalled on the dirty cap once under it, then fire the fsync/revoke
+  /// waiters whose inode went idle.
+  void wake_flush_waiters();
   // Write-through replication: the flush anchors on the primary (or the
   // first clean copy when the primary is divergent); once the anchor
   // write lands, the data is propagated to every other clean copy
@@ -372,6 +392,12 @@ class Client {
 
   OpenFile* file(Fh fh);
   Bytes block_size() const { return fs_->block_size(); }
+
+  /// Fixed retry spacing while the manager gate reports `recovering` (or
+  /// an NSD write gate answers `gated`): the full seeded-backoff
+  /// schedule can sleep through a short takeover, so redrives probe at
+  /// this cadence until the gate clears, then normal backoff resumes.
+  static constexpr sim::Time kRecoveryProbeInterval = 0.05;
 
   Rpc& rpc_;
   net::NodeId node_;

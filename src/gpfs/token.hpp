@@ -44,6 +44,18 @@ struct TokenRange {
 
 inline constexpr Bytes kWholeFile = std::numeric_limits<Bytes>::max();
 
+/// Pass the parts of `r` outside `cut` to `emit` (all of `r` when the
+/// two do not overlap).
+template <typename Emit>
+void subtract_range(TokenRange r, TokenRange cut, Emit emit) {
+  if (!r.overlaps(cut)) {
+    emit(r);
+    return;
+  }
+  if (r.lo < cut.lo) emit(TokenRange{r.lo, cut.lo});
+  if (cut.hi < r.hi) emit(TokenRange{cut.hi, r.hi});
+}
+
 struct Holding {
   ClientId client;
   LockMode mode;

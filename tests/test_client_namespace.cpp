@@ -50,6 +50,28 @@ TEST(ClientNamespace, MkdirReaddirRenameUnlink) {
   EXPECT_TRUE(empty->empty());
 }
 
+TEST(ClientNamespace, OpsOnUnmountedClientFailNotMounted) {
+  // Path routing needs the file system, so every path op must refuse an
+  // unmounted client up front (as open does) instead of reaching for it.
+  MiniCluster mc;
+  Client* c = mc.mount_on(2);
+  mc.cluster->unmount(c);
+  ASSERT_FALSE(c->mounted());
+
+  std::vector<Errc> codes;
+  auto note = [&](const auto& r) {
+    codes.push_back(r.ok() ? Errc::ok : r.error().code);
+  };
+  c->open("/f", kAlice, OpenFlags::create_rw(), note);
+  c->stat("/f", note);
+  c->mkdir("/d", kAlice, Mode{077}, note);
+  c->readdir("/", kAlice, note);
+  c->unlink("/f", kAlice, note);
+  c->rename("/f", "/g", kAlice, note);
+  mc.sim.run();
+  EXPECT_EQ(codes, std::vector<Errc>(6, Errc::invalid_argument));
+}
+
 TEST(ClientNamespace, MkdirDeniedWithoutParentPermission) {
   MiniCluster mc;
   Client* c = mc.mount_on(2);
